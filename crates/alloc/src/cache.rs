@@ -119,7 +119,9 @@ mod tests {
         // Warm the cache.
         let warm = alloc(class);
         unsafe { free(class, warm) };
-        let fills_before = crate::stats().cache_fills;
+        // This thread's tally: sibling tests fill their own caches
+        // concurrently and move the process-wide counter.
+        let fills_before = crate::stats::thread_stats().cache_fills;
         for _ in 0..100 {
             let p = alloc(class);
             assert!(!p.is_null());
@@ -128,7 +130,7 @@ mod tests {
                 free(class, p);
             }
         }
-        let fills_after = crate::stats().cache_fills;
+        let fills_after = crate::stats::thread_stats().cache_fills;
         assert_eq!(
             fills_before, fills_after,
             "LIFO alloc/free cycles must not touch the depot"

@@ -54,8 +54,10 @@ pub mod switchable;
 pub mod telemetry;
 
 pub use global::TsAlloc;
-pub use pool::{dealloc_node, pool_bytes_resident, pool_stats, PoolHandle, PoolStats};
+pub use pool::{
+    dealloc_bytes, dealloc_node, pool_bytes_resident, pool_stats, PoolHandle, PoolStats,
+};
 pub use size_classes::{class_size, NUM_CLASSES};
-pub use stats::{stats, AllocStats};
+pub use stats::{stats, thread_stats, AllocStats, ThreadAllocStats};
 pub use switchable::{enable_ts_alloc, ts_alloc_enabled, SwitchableAlloc};
 pub use telemetry::register_pool_metrics;

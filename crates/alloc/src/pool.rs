@@ -4,7 +4,8 @@
 //! The global-hook path ([`crate::TsAlloc`]) routes *every* allocation in
 //! the process through the size classes. A [`PoolHandle`] is the opposite
 //! end of the design space: an explicit, per-data-structure handle whose
-//! `alloc_node::<T>()`/[`dealloc_node`] entry points go straight to the
+//! `alloc_node::<T>()`/[`dealloc_node`] entry points (and their raw-size
+//! twins `alloc_bytes`/[`dealloc_bytes`]) go straight to the
 //! thread-local magazines and the central depot — no `GlobalAlloc`
 //! dispatch, no layout round-trip, and per-handle accounting (allocs,
 //! frees, magazine refills, bytes resident) that the benchmark harness
@@ -82,9 +83,9 @@ static REGISTRY: Mutex<Vec<&'static PoolCounters>> = Mutex::new(Vec::new());
 pub struct PoolStats {
     /// The label the handle was created with.
     pub name: &'static str,
-    /// Nodes handed out by `alloc_node`.
+    /// Nodes handed out by `alloc_node` / `alloc_bytes`.
     pub allocs: usize,
-    /// Nodes returned through `dealloc_node`.
+    /// Nodes returned through `dealloc_node` / `dealloc_bytes`.
     pub frees: usize,
     /// Magazine refills from the central depot (each one lock acquisition)
     /// attributed to this handle's allocations.
@@ -198,7 +199,33 @@ impl PoolHandle {
     /// OOM, like `Box::new`).
     pub fn alloc_node<T>(&self, value: T) -> *mut T {
         let () = AlignCheck::<T>::OK;
-        let total = HEADER_BYTES + core::mem::size_of::<T>();
+        let payload = self.alloc_bytes(core::mem::size_of::<T>()).cast::<T>();
+        // SAFETY: fresh, 16-aligned (≥ align_of::<T>, checked above)
+        // block of at least size_of::<T>() bytes.
+        unsafe { payload.write(value) };
+        payload
+    }
+
+    /// Allocates `size` uninitialized payload bytes, 16-byte aligned and
+    /// headered for a later [`dealloc_bytes`] from any thread — the
+    /// raw-size path for nodes whose size is only known at run time
+    /// (variable-height skip-list towers). Never returns null (aborts on
+    /// OOM, like `Box::new`).
+    ///
+    /// ```
+    /// use ts_alloc::pool::{dealloc_bytes, PoolHandle};
+    ///
+    /// let pool = PoolHandle::new("bytes-example");
+    /// let p = pool.alloc_bytes(40);
+    /// // SAFETY: 40 fresh bytes, freed exactly once.
+    /// unsafe {
+    ///     p.write_bytes(0x5A, 40);
+    ///     dealloc_bytes(p);
+    /// }
+    /// assert_eq!(pool.stats().bytes_resident, 0);
+    /// ```
+    pub fn alloc_bytes(&self, size: usize) -> *mut u8 {
+        let total = HEADER_BYTES + size;
         let (block, class, resident) = match class_of(total) {
             Some(class) => {
                 let block = self.alloc_block(class);
@@ -228,9 +255,7 @@ impl PoolHandle {
                 class,
                 size: total as u32,
             });
-            let payload = block.add(HEADER_BYTES) as *mut T;
-            payload.write(value);
-            payload
+            block.add(HEADER_BYTES)
         }
     }
 
@@ -269,16 +294,18 @@ impl PoolHandle {
 /// freed at most once; no other reference to the node exists.
 pub unsafe fn dealloc_node<T>(ptr: *mut T) {
     core::ptr::drop_in_place(ptr);
-    dealloc_block(ptr as *mut u8);
+    dealloc_bytes(ptr.cast());
 }
 
-/// Returns an already-dropped pooled block (payload pointer) to its pool.
+/// Returns a pooled block (payload pointer) to its pool. Like
+/// [`dealloc_node`], it needs no handle.
 ///
 /// # Safety
 ///
-/// Same as [`dealloc_node`], with the payload's destructor already run
-/// (or trivial).
-unsafe fn dealloc_block(payload: *mut u8) {
+/// `payload` came from [`PoolHandle::alloc_bytes`] (or
+/// [`PoolHandle::alloc_node`], with the node's destructor already run or
+/// trivial) and is freed at most once; no other reference to it exists.
+pub unsafe fn dealloc_bytes(payload: *mut u8) {
     let block = payload.sub(HEADER_BYTES);
     let header = (block as *const Header).read();
     // SAFETY: counters are leaked at handle creation, hence still live.
@@ -288,7 +315,7 @@ unsafe fn dealloc_block(payload: *mut u8) {
         let total = header.size as usize;
         counters.bytes_resident.fetch_sub(total, Ordering::Relaxed);
         POOL_BYTES_RESIDENT.fetch_sub(total, Ordering::Relaxed);
-        // SAFETY: allocated in `alloc_node` with exactly this layout.
+        // SAFETY: allocated in `alloc_bytes` with exactly this layout.
         System.dealloc(block, Layout::from_size_align_unchecked(total, CLASS_ALIGN));
         return;
     }
@@ -359,12 +386,33 @@ fn with_magazines<R>(f: impl FnOnce(&mut Magazines) -> R) -> Option<R> {
         .ok()
 }
 
+/// Orders the unit tests that move process-wide pool totals (every test
+/// that allocates pool memory) against the ones that assert on them:
+/// the former share the lock, the latter hold it alone.
+#[cfg(test)]
+pub(crate) mod test_totals {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static TOTALS: RwLock<()> = RwLock::new(());
+
+    /// Held by a test that allocates pool memory.
+    pub(crate) fn moves() -> RwLockReadGuard<'static, ()> {
+        TOTALS.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Held by a test that asserts on process-wide pool totals.
+    pub(crate) fn reads() -> RwLockWriteGuard<'static, ()> {
+        TOTALS.write().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn roundtrip_balances_counters() {
+        let _totals = test_totals::moves();
         let pool = PoolHandle::new("roundtrip");
         let mut live: Vec<*mut [u8; 40]> =
             (0..64).map(|i| pool.alloc_node([i as u8; 40])).collect();
@@ -384,6 +432,7 @@ mod tests {
 
     #[test]
     fn values_survive_and_blocks_are_distinct() {
+        let _totals = test_totals::moves();
         let pool = PoolHandle::new("distinct");
         let ptrs: Vec<*mut u64> = (0..200u64).map(|i| pool.alloc_node(i * 3)).collect();
         let mut seen = std::collections::HashSet::new();
@@ -400,6 +449,7 @@ mod tests {
 
     #[test]
     fn dealloc_without_handle_credits_the_owner() {
+        let _totals = test_totals::moves();
         // The deferred-free path: allocate here, free from another thread
         // that never saw the handle.
         let pool = PoolHandle::new("deferred");
@@ -417,6 +467,7 @@ mod tests {
 
     #[test]
     fn large_nodes_pass_through_with_accounting() {
+        let _totals = test_totals::moves();
         let pool = PoolHandle::new("large");
         let p: *mut [u8; 8192] = pool.alloc_node([0xAB; 8192]);
         let s = pool.stats();
@@ -440,6 +491,7 @@ mod tests {
                 DROPS.fetch_add(1, Ordering::SeqCst);
             }
         }
+        let _totals = test_totals::moves();
         let pool = PoolHandle::new("droppy");
         let p = pool.alloc_node(Noisy);
         assert_eq!(DROPS.load(Ordering::SeqCst), 0);
@@ -450,6 +502,7 @@ mod tests {
 
     #[test]
     fn global_bytes_resident_tracks_all_pools() {
+        let _totals = test_totals::reads();
         let a = PoolHandle::new("global-a");
         let b = PoolHandle::new("global-b");
         let before = pool_bytes_resident();
@@ -466,6 +519,7 @@ mod tests {
 
     #[test]
     fn pool_stats_lists_created_handles() {
+        let _totals = test_totals::moves();
         let h = PoolHandle::new("listed-handle");
         let p: *mut u64 = h.alloc_node(9);
         // SAFETY: allocated above.
@@ -481,6 +535,7 @@ mod tests {
 
     #[test]
     fn lifo_reuse_stays_magazine_local() {
+        let _totals = test_totals::moves();
         let pool = PoolHandle::new("lifo");
         // Warm the magazine.
         let warm: *mut u64 = pool.alloc_node(0);

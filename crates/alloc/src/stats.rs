@@ -1,5 +1,6 @@
 //! Allocator counters (relaxed; diagnostics and benches only).
 
+use core::cell::Cell;
 use core::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::size_classes::{NUM_CLASSES, SPAN_BYTES};
@@ -29,6 +30,15 @@ pub(crate) static COUNTERS: Counters = Counters {
     class_frees: [const { AtomicUsize::new(0) }; NUM_CLASSES],
 };
 
+thread_local! {
+    /// The calling thread's share of `spans` and `cache_fills`: the only
+    /// view of those counters that sibling threads cannot move. `Cell`s
+    /// with const init and no destructor, so reading them from inside the
+    /// allocator neither allocates nor fails during TLS teardown.
+    static THREAD_SPANS: Cell<usize> = const { Cell::new(0) };
+    static THREAD_FILLS: Cell<usize> = const { Cell::new(0) };
+}
+
 impl Counters {
     #[inline]
     pub(crate) fn note_small_alloc(&self) {
@@ -49,10 +59,12 @@ impl Counters {
     #[inline]
     pub(crate) fn note_span(&self) {
         self.spans.fetch_add(1, Ordering::Relaxed);
+        THREAD_SPANS.with(|n| n.set(n.get() + 1));
     }
     #[inline]
     pub(crate) fn note_fill(&self) {
         self.cache_fills.fetch_add(1, Ordering::Relaxed);
+        THREAD_FILLS.with(|n| n.set(n.get() + 1));
     }
     #[inline]
     pub(crate) fn note_flush(&self) {
@@ -118,6 +130,26 @@ pub fn stats() -> AllocStats {
     }
 }
 
+/// The calling thread's own lifetime tallies of the depot traffic that
+/// [`AllocStats`] counts process-wide. Tests that assert on depot
+/// traffic read these: other threads allocating at the same time move
+/// the global counters but never these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadAllocStats {
+    /// Spans this thread carved from the system allocator.
+    pub spans: usize,
+    /// Depot refills (thread cache or pool magazine) made by this thread.
+    pub cache_fills: usize,
+}
+
+/// Reads the calling thread's depot tallies.
+pub fn thread_stats() -> ThreadAllocStats {
+    ThreadAllocStats {
+        spans: THREAD_SPANS.with(Cell::get),
+        cache_fills: THREAD_FILLS.with(Cell::get),
+    }
+}
+
 impl AllocStats {
     /// Small allocations per depot lock acquisition — the amortization
     /// the thread-cache design exists to provide.
@@ -144,6 +176,27 @@ mod tests {
         assert!(after.small_allocs > before.small_allocs);
         assert!(after.spans > before.spans);
         assert_eq!(after.span_bytes, after.spans * SPAN_BYTES);
+    }
+
+    #[test]
+    fn thread_tallies_ignore_other_threads() {
+        let before = thread_stats();
+        std::thread::spawn(|| {
+            COUNTERS.note_span();
+            COUNTERS.note_fill();
+            assert_eq!(
+                thread_stats(),
+                ThreadAllocStats {
+                    spans: 1,
+                    cache_fills: 1
+                }
+            );
+        })
+        .join()
+        .unwrap();
+        assert_eq!(thread_stats(), before);
+        COUNTERS.note_fill();
+        assert_eq!(thread_stats().cache_fills, before.cache_fills + 1);
     }
 
     #[test]

@@ -81,6 +81,7 @@ mod tests {
 
     #[test]
     fn pool_gauges_register_once_and_track_live_state() {
+        let _totals = crate::pool::test_totals::reads();
         register_pool_metrics();
         register_pool_metrics(); // idempotent
         let page = ts_telemetry::render_prometheus();

@@ -78,7 +78,9 @@ proptest! {
     fn footprint_tracks_peak_not_total(iterations in 100usize..2_000) {
         let a = TsAlloc;
         let layout = Layout::from_size_align(64, 8).unwrap();
-        let spans_before = ts_alloc::stats().spans;
+        // Spans carved by this thread only: the sibling property runs
+        // concurrently in this binary and grow spans of their own.
+        let spans_before = ts_alloc::thread_stats().spans;
         for _ in 0..iterations {
             // SAFETY: immediate roundtrip with the same layout.
             unsafe {
@@ -87,9 +89,9 @@ proptest! {
                 a.dealloc(p, layout);
             }
         }
-        let spans_after = ts_alloc::stats().spans;
+        let spans_after = ts_alloc::thread_stats().spans;
         // One live block at a time: at most a couple of spans for this
-        // class (plus whatever other tests already carved).
+        // class.
         prop_assert!(
             spans_after - spans_before <= 2,
             "alloc/free cycling must recycle, grew {} spans",

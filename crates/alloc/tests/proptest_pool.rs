@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use ts_alloc::pool::{dealloc_node, PoolHandle, HEADER_BYTES};
+use ts_alloc::pool::{dealloc_bytes, dealloc_node, PoolHandle, HEADER_BYTES};
 use ts_alloc::size_classes::{class_of, class_size};
 
 /// One pooled node shape per interesting size region: three small
@@ -190,5 +190,39 @@ proptest! {
             }
         }
         prop_assert_eq!(pool.stats().magazine_refills, refills_after_warmup);
+    }
+
+    /// Raw-size nodes: `alloc_bytes` hands out 16-aligned, non-aliasing
+    /// blocks of exactly the requested payload size (any size, class or
+    /// passthrough), charges the block its size class implies, and
+    /// `dealloc_bytes` returns every one of them.
+    #[test]
+    fn alloc_bytes_roundtrip(sizes in proptest::collection::vec(1usize..6000, 1..64)) {
+        let pool = PoolHandle::new("proptest-bytes");
+        let mut live: Vec<(*mut u8, usize, u8)> = Vec::new();
+        let mut resident = 0usize;
+        for (i, &size) in sizes.iter().enumerate() {
+            let p = pool.alloc_bytes(size);
+            prop_assert_eq!(p as usize % 16, 0, "payload must be 16-aligned");
+            let tag = i as u8 | 1;
+            // SAFETY: `size` fresh bytes.
+            unsafe { p.write_bytes(tag, size) };
+            live.push((p, size, tag));
+            let total = HEADER_BYTES + size;
+            resident += class_of(total).map_or(total, class_size);
+        }
+        let s = pool.stats();
+        prop_assert_eq!(s.allocs, sizes.len());
+        prop_assert_eq!(s.bytes_resident, resident);
+        for (p, size, tag) in live {
+            // SAFETY: live block of `size` bytes, freed exactly once.
+            unsafe {
+                prop_assert_eq!(p.read(), tag, "payload clobbered while live");
+                prop_assert_eq!(p.add(size - 1).read(), tag, "payload clobbered while live");
+                dealloc_bytes(p);
+            }
+        }
+        let end = pool.stats();
+        prop_assert_eq!((end.allocs, end.frees, end.bytes_resident), (sizes.len(), sizes.len(), 0));
     }
 }

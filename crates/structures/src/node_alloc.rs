@@ -17,6 +17,15 @@
 //! structure a function pointer matching its policy — `Box::from_raw`
 //! for `Global`, the pool's header-driven [`ts_alloc::dealloc_node`] for
 //! `Pool` — and structures store it once and pass it to every `retire`.
+//!
+//! Nodes whose size is known only at run time (the skip list's
+//! variable-height towers) use the raw-size twins
+//! [`NodeAlloc::alloc_bytes`] and [`NodeAlloc::bytes_drop_fn`]. A pooled
+//! block records its own size in its header; a global-heap block does
+//! not, so under `Global` the structure supplies a drop function that
+//! rebuilds the layout from the node itself.
+
+use std::alloc::Layout;
 
 use ts_smr::DropFn;
 
@@ -55,6 +64,40 @@ impl NodeAlloc {
         match self {
             NodeAlloc::Global => drop_boxed::<T>,
             NodeAlloc::Pool(_) => drop_pooled::<T>,
+        }
+    }
+
+    /// Allocates `layout.size()` uninitialized bytes for a node whose size
+    /// is only known at run time. Never null (aborts on OOM). Pooled
+    /// blocks are 16-byte aligned, so `layout.align()` must not exceed 16.
+    #[inline]
+    pub fn alloc_bytes(&self, layout: Layout) -> *mut u8 {
+        match self {
+            NodeAlloc::Global => {
+                assert!(layout.size() > 0, "zero-sized node");
+                // SAFETY: non-zero size, checked above.
+                let p = unsafe { std::alloc::alloc(layout) };
+                if p.is_null() {
+                    std::alloc::handle_alloc_error(layout);
+                }
+                p
+            }
+            NodeAlloc::Pool(pool) => {
+                assert!(layout.align() <= 16, "pooled nodes are 16-byte aligned");
+                pool.alloc_bytes(layout.size())
+            }
+        }
+    }
+
+    /// The stateless deallocator for nodes from [`NodeAlloc::alloc_bytes`]:
+    /// the pool's header-driven [`ts_alloc::dealloc_bytes`] under `Pool`,
+    /// and `global` — which must rebuild the node's layout from the node
+    /// and free it with `std::alloc::dealloc` — under `Global`.
+    #[inline]
+    pub fn bytes_drop_fn(&self, global: DropFn) -> DropFn {
+        match self {
+            NodeAlloc::Global => global,
+            NodeAlloc::Pool(_) => ts_alloc::dealloc_bytes,
         }
     }
 }
@@ -108,6 +151,28 @@ mod tests {
         unsafe {
             assert_eq!((*p)[9], 7);
             drop_fn(p as *mut u8);
+        }
+        let s = pool.stats();
+        assert_eq!((s.allocs, s.frees, s.bytes_resident), (1, 1, 0));
+    }
+
+    #[test]
+    fn raw_size_roundtrip_under_both_policies() {
+        /// The `Global` drop fn a caller supplies: here every node is
+        /// 40 bytes, so the layout is a constant.
+        unsafe fn drop_forty(p: *mut u8) {
+            std::alloc::dealloc(p, Layout::from_size_align(40, 8).unwrap());
+        }
+        let pool = ts_alloc::PoolHandle::new("node-alloc-bytes");
+        for alloc in [NodeAlloc::Global, NodeAlloc::Pool(pool)] {
+            let p = alloc.alloc_bytes(Layout::from_size_align(40, 8).unwrap());
+            assert_eq!(p as usize % 8, 0);
+            // SAFETY: 40 fresh bytes, freed once with the matching fn.
+            unsafe {
+                p.write_bytes(0xC3, 40);
+                assert_eq!(p.add(39).read(), 0xC3);
+                alloc.bytes_drop_fn(drop_forty)(p);
+            }
         }
         let s = pool.stats();
         assert_eq!((s.allocs, s.frees, s.bytes_resident), (1, 1, 0));

@@ -32,6 +32,13 @@
 //! unlike a uniform-keyed set, this race fires in milliseconds. The
 //! sentinel participates in the same lock protocol as every other node
 //! and is never marked, claimed, or removed.
+//!
+//! # Fixed-height towers
+//!
+//! Unlike the set skip list, whose nodes are sized to their own tower
+//! height, every queue node carries the full [`PQ_MAX_HEIGHT`] tower. This
+//! is deliberate: the queue is not a benchmark structure, and moving it to
+//! variable-height nodes is left out of scope.
 
 use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::cell::Cell;

@@ -21,8 +21,26 @@
 //!   can resurrect a spliced-out node. The priority queue variant of this
 //!   structure hit exactly that race under `delete_min` pressure; see
 //!   `priority_queue`'s module docs.
+//!
+//! **Variable-height towers**, as in §6, where a node's size follows its
+//! height and the paper's 104 bytes is the maximum. A node is a 16-byte
+//! header (key, top level, lock and the two flags) followed by exactly
+//! `top_level + 1` links, [`node_bytes`]`(top_level)` bytes in all: a
+//! height-1 node is 24 bytes and the tallest, at [`MAX_HEIGHT`], is 112.
+//! A traversal step reads the key and one link; the key and the low links
+//! lie within the node's first 40 bytes, so a step usually touches one
+//! cache line. Every link access goes through one accessor
+//! that debug-asserts `level <= top_level`; a traversal only ever reads
+//! level `l` of a node it reached at level `l`, so it never runs off a
+//! short tower. Removal retires the node with its exact allocation size,
+//! so range matching covers the whole node, links included. The sentinel
+//! is allocated the same way, at full height.
+//!
+//! `PriorityQueue` keeps fixed full-height towers on purpose: it is not a
+//! benchmark structure, and its layout is left as it is.
 
 use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::alloc::Layout;
 use std::cell::Cell;
 use std::marker::PhantomData;
 
@@ -39,28 +57,71 @@ pub const MAX_HEIGHT: usize = 12;
 /// succ per level, plus two roving slots for `contains`.
 pub const REQUIRED_SLOTS: usize = 2 * MAX_HEIGHT + 2;
 
+/// A node's header. The tower of `top_level + 1` links follows it in the
+/// same allocation (see [`node_bytes`]); only [`link`] reaches them.
 #[repr(C)]
 struct SkipNode {
-    /// Tower of next pointers (level 0 = full list). First field so
-    /// interior pointers resolve to the node under range matching.
-    next: [AtomicPtr<u8>; MAX_HEIGHT],
     key: u64,
-    top_level: usize,
+    /// Highest level this node is linked at; its tower has
+    /// `top_level + 1` links.
+    top_level: u32,
     lock: AtomicBool,
     marked: AtomicBool,
     fully_linked: AtomicBool,
 }
 
+const _: () = assert!(core::mem::size_of::<SkipNode>() == 16);
+
+/// Bytes of a node whose tower reaches `top_level`: the 16-byte header
+/// plus one 8-byte link per level, `16 + 8·(top_level + 1)`.
+pub const fn node_bytes(top_level: usize) -> usize {
+    core::mem::size_of::<SkipNode>() + core::mem::size_of::<AtomicPtr<u8>>() * (top_level + 1)
+}
+
+/// The allocation layout of a node whose tower reaches `top_level`.
+fn node_layout(top_level: usize) -> Layout {
+    Layout::from_size_align(node_bytes(top_level), core::mem::align_of::<SkipNode>())
+        .expect("skip-list node layout")
+}
+
+/// The `level` link of `node`'s tower.
+///
+/// # Safety
+///
+/// `node` points to a live node (the allocation, not a reference to its
+/// header, so the pointer covers the tower) and `level <= top_level`.
+#[inline]
+unsafe fn link<'a>(node: *const SkipNode, level: usize) -> &'a AtomicPtr<u8> {
+    debug_assert!(level <= (*node).top_level as usize, "link above the tower");
+    &*node.add(1).cast::<AtomicPtr<u8>>().add(level)
+}
+
 impl SkipNode {
-    fn new(key: u64, top_level: usize) -> Self {
-        Self {
-            next: [(); MAX_HEIGHT].map(|_| AtomicPtr::new(std::ptr::null_mut())),
-            key,
-            top_level,
-            lock: AtomicBool::new(false),
-            marked: AtomicBool::new(false),
-            fully_linked: AtomicBool::new(false),
+    /// Allocates a node through `alloc` with key `key`, a tower reaching
+    /// `top_level`, and link `l` set to `links(l)`.
+    fn alloc(
+        alloc: &NodeAlloc,
+        key: u64,
+        top_level: usize,
+        links: impl Fn(usize) -> *mut SkipNode,
+    ) -> *mut SkipNode {
+        let node = alloc.alloc_bytes(node_layout(top_level)).cast::<SkipNode>();
+        // SAFETY: a fresh allocation of node_bytes(top_level) bytes,
+        // aligned for the header and its links.
+        unsafe {
+            node.write(SkipNode {
+                key,
+                top_level: top_level as u32,
+                lock: AtomicBool::new(false),
+                marked: AtomicBool::new(false),
+                fully_linked: AtomicBool::new(false),
+            });
+            let tower = node.add(1).cast::<AtomicPtr<u8>>();
+            for level in 0..=top_level {
+                tower.add(level).write(AtomicPtr::new(links(level).cast()));
+            }
         }
+        node
     }
 
     /// Spinlock acquire (per-node fine-grained lock, as in the paper's
@@ -80,20 +141,34 @@ impl SkipNode {
     }
 }
 
+/// Frees a global-heap node, rebuilding its layout from its height.
+///
+/// # Safety
+///
+/// `p` came from [`SkipNode::alloc`] under [`NodeAlloc::Global`], freed
+/// at most once.
+unsafe fn drop_global_node(p: *mut u8) {
+    let top_level = (*p.cast::<SkipNode>()).top_level as usize;
+    std::alloc::dealloc(p, node_layout(top_level));
+}
+
 /// The lock-based skip list.
 pub struct SkipList<S: Smr> {
-    /// Sentinel head node; its key is conceptually −∞ and never compared.
-    /// It locks like any node and is never marked or removed. Always
-    /// `Box`-allocated (it frees with the list, never through a retire).
-    head: Box<SkipNode>,
-    /// Where tower nodes come from (global heap by default, or a pool).
+    /// Sentinel head node, full height; its key is conceptually −∞ and
+    /// never compared. It locks like any node and is never marked or
+    /// removed; it frees with the list, never through a retire.
+    head: *mut SkipNode,
+    /// Where nodes come from (global heap by default, or a pool).
     alloc: NodeAlloc,
     /// The matching stateless deallocator, passed to every retire.
     drop_node: DropFn,
     _scheme: PhantomData<fn(&S)>,
 }
 
-// SAFETY: shared state is atomics; node lifetime is managed through `S`.
+// SAFETY: `head` is owned by the list (allocated in `with_alloc`, freed
+// only in `Drop`); every node field written after publication is atomic,
+// and node lifetime is managed through `S`. `alloc` is a `Copy` handle to
+// thread-safe pool counters and `drop_node` a plain function pointer.
 unsafe impl<S: Smr> Send for SkipList<S> {}
 unsafe impl<S: Smr> Sync for SkipList<S> {}
 
@@ -123,20 +198,15 @@ impl<S: Smr> SkipList<S> {
         Self::with_alloc(NodeAlloc::Global)
     }
 
-    /// An empty skip list allocating tower nodes through `alloc`.
+    /// An empty skip list allocating its nodes (sentinel included)
+    /// through `alloc`.
     pub fn with_alloc(alloc: NodeAlloc) -> Self {
         Self {
-            head: Box::new(SkipNode::new(0, MAX_HEIGHT - 1)),
-            drop_node: alloc.drop_fn::<SkipNode>(),
+            head: SkipNode::alloc(&alloc, 0, MAX_HEIGHT - 1, |_| std::ptr::null_mut()),
+            drop_node: alloc.bytes_drop_fn(drop_global_node),
             alloc,
             _scheme: PhantomData,
         }
-    }
-
-    /// The sentinel as a node pointer (for pred arrays).
-    #[inline]
-    fn sentinel(&self) -> *mut SkipNode {
-        &*self.head as *const SkipNode as *mut SkipNode
     }
 
     /// Full find: fills `preds`/`succs` for every level and returns the
@@ -160,7 +230,7 @@ impl<S: Smr> SkipList<S> {
     ) -> Option<usize> {
         'retry: loop {
             let mut lfound = None;
-            let mut pred: *mut SkipNode = self.sentinel();
+            let mut pred: *mut SkipNode = self.head;
             for level in (0..MAX_HEIGHT).rev() {
                 // curr/pred protection alternates between this level's two
                 // slots; `pred` enters protected by a higher level's slot
@@ -168,9 +238,8 @@ impl<S: Smr> SkipList<S> {
                 let mut pred_slot = 2 * level;
                 let mut curr_slot = 2 * level + 1;
                 // SAFETY: pred is the sentinel or protected
-                // (higher-level slot).
-                let mut pred_field: &AtomicPtr<u8> = unsafe { &(*pred).next[level] };
-                let mut curr = g.load(curr_slot, pred_field) as *mut SkipNode;
+                // (higher-level slot), and reached at a level >= this one.
+                let mut curr = g.load(curr_slot, unsafe { link(pred, level) }) as *mut SkipNode;
                 // The protection chain requires that pred was live when
                 // its field was read; marking is monotonic, so a
                 // post-load check suffices. A marked pred's (stale) next
@@ -183,8 +252,7 @@ impl<S: Smr> SkipList<S> {
                         break;
                     }
                     // SAFETY: curr protected in curr_slot.
-                    let curr_node = unsafe { &*curr };
-                    if curr_node.key >= key {
+                    if unsafe { (*curr).key } >= key {
                         break;
                     }
                     // Advance: the protected curr *becomes* the pred (slot
@@ -192,9 +260,9 @@ impl<S: Smr> SkipList<S> {
                     // the slot that held the now-dead previous pred.
                     pred = curr;
                     std::mem::swap(&mut pred_slot, &mut curr_slot);
-                    // SAFETY: pred protected in pred_slot.
-                    pred_field = unsafe { &(*pred).next[level] };
-                    curr = g.load(curr_slot, pred_field) as *mut SkipNode;
+                    // SAFETY: pred protected in pred_slot, reached at
+                    // this level.
+                    curr = g.load(curr_slot, unsafe { link(pred, level) }) as *mut SkipNode;
                     if Self::pred_died(pred) {
                         continue 'retry;
                     }
@@ -254,10 +322,10 @@ impl<S: Smr> SkipList<S> {
                 prev = pred;
             }
             locked_up_to = level;
-            // SAFETY: locked above. The sentinel is never marked.
-            let pred_node = unsafe { &*pred };
-            let pred_ok = !pred_node.marked.load(Ordering::Acquire);
-            let link_ok = pred_node.next[level].load(Ordering::Acquire) as *mut SkipNode
+            // SAFETY: locked above; pred was found at this level. The
+            // sentinel is never marked.
+            let pred_ok = !unsafe { (*pred).marked.load(Ordering::Acquire) };
+            let link_ok = unsafe { link(pred, level) }.load(Ordering::Acquire) as *mut SkipNode
                 == expect_succ(level);
             valid = pred_ok && link_ok;
             if !valid {
@@ -284,12 +352,12 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
         'retry: loop {
             let mut pred_slot = 2 * MAX_HEIGHT;
             let mut curr_slot = 2 * MAX_HEIGHT + 1;
-            let mut pred: *mut SkipNode = self.sentinel();
+            let mut pred: *mut SkipNode = self.head;
             let mut found: *mut SkipNode = std::ptr::null_mut();
             for level in (0..MAX_HEIGHT).rev() {
-                // SAFETY: pred protected in pred_slot (or the sentinel).
-                let mut pred_field: &AtomicPtr<u8> = unsafe { &(*pred).next[level] };
-                let mut curr = g.load(curr_slot, pred_field) as *mut SkipNode;
+                // SAFETY: pred protected in pred_slot (or the sentinel),
+                // reached at a level >= this one.
+                let mut curr = g.load(curr_slot, unsafe { link(pred, level) }) as *mut SkipNode;
                 if Self::pred_died(pred) {
                     continue 'retry;
                 }
@@ -298,11 +366,11 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
                         break;
                     }
                     // SAFETY: protected in curr_slot.
-                    let curr_node = unsafe { &*curr };
-                    if curr_node.key > key {
+                    let curr_key = unsafe { (*curr).key };
+                    if curr_key > key {
                         break;
                     }
-                    if curr_node.key == key {
+                    if curr_key == key {
                         found = curr;
                         break;
                     }
@@ -310,9 +378,9 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
                     // recycled for the new curr.
                     pred = curr;
                     std::mem::swap(&mut pred_slot, &mut curr_slot);
-                    // SAFETY: pred protected in pred_slot.
-                    pred_field = unsafe { &(*pred).next[level] };
-                    curr = g.load(curr_slot, pred_field) as *mut SkipNode;
+                    // SAFETY: pred protected in pred_slot, reached at
+                    // this level.
+                    curr = g.load(curr_slot, unsafe { link(pred, level) }) as *mut SkipNode;
                     if Self::pred_died(pred) {
                         continue 'retry;
                     }
@@ -358,17 +426,16 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
                 Self::unlock_preds(&preds, locked);
                 continue 'retry;
             }
-            let node = self.alloc.alloc(SkipNode::new(key, top));
-            // SAFETY: node is private until linked below.
-            let node_ref = unsafe { &*node };
-            for (level, &succ) in succs.iter().enumerate().take(top + 1) {
-                node_ref.next[level].store(succ as *mut u8, Ordering::Relaxed);
-            }
+            // Private until linked below: its tower points at the succs.
+            let node = SkipNode::alloc(&self.alloc, key, top, |l| succs[l]);
             for (level, &pred) in preds.iter().enumerate().take(top + 1) {
-                // SAFETY: locked + validated.
-                unsafe { &(*pred).next[level] }.store(node as *mut u8, Ordering::Release);
+                // SAFETY: locked + validated at this level.
+                unsafe { link(pred, level) }.store(node as *mut u8, Ordering::Release);
             }
-            node_ref.fully_linked.store(true, Ordering::Release);
+            // SAFETY: linked, and not retirable before it is fully linked.
+            unsafe { &*node }
+                .fully_linked
+                .store(true, Ordering::Release);
             Self::unlock_preds(&preds, locked);
             break 'retry true;
         }
@@ -392,12 +459,12 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
                 // SAFETY: protected by find.
                 let cand = unsafe { &*candidate };
                 if !(cand.fully_linked.load(Ordering::Acquire)
-                    && cand.top_level == level
+                    && cand.top_level as usize == level
                     && !cand.marked.load(Ordering::Acquire))
                 {
                     break 'retry false;
                 }
-                top = cand.top_level;
+                top = cand.top_level as usize;
                 cand.lock();
                 if cand.marked.load(Ordering::Acquire) {
                     cand.unlock();
@@ -410,31 +477,27 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
                 // (only the marking thread retires), so raw access to it
                 // stays sound across retries.
             }
-            // SAFETY: see invariant above.
-            let victim_node = unsafe { &*victim };
             let (valid, locked) = Self::lock_and_validate(&preds, top, |_| victim);
             if !valid {
                 Self::unlock_preds(&preds, locked);
                 continue 'retry;
             }
             for level in (0..=top).rev() {
-                // SAFETY: preds locked + validated.
-                unsafe { &(*preds[level]).next[level] }.store(
-                    victim_node.next[level].load(Ordering::Acquire),
-                    Ordering::Release,
-                );
+                // SAFETY: preds locked + validated at every level up to
+                // the victim's top; the victim is ours (see above).
+                unsafe {
+                    link(preds[level], level).store(
+                        link(victim, level).load(Ordering::Acquire),
+                        Ordering::Release,
+                    )
+                };
             }
-            victim_node.unlock();
+            // SAFETY: see the invariant above.
+            unsafe { &*victim }.unlock();
             Self::unlock_preds(&preds, locked);
             // SAFETY: unlinked from every level; the mark ownership makes
-            // this the unique retire.
-            unsafe {
-                g.retire(
-                    victim as usize,
-                    core::mem::size_of::<SkipNode>(),
-                    self.drop_node,
-                )
-            };
+            // this the unique retire. The size is the whole allocation.
+            unsafe { g.retire(victim as usize, node_bytes(top), self.drop_node) };
             break 'retry true;
         }
     }
@@ -445,17 +508,27 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
 }
 
 impl<S: Smr> SkipList<S> {
+    /// Sequential walk of the bottom level (tests): calls `f` on every
+    /// unmarked node.
+    fn for_each_sequential(&self, mut f: impl FnMut(&SkipNode)) {
+        // SAFETY: the sentinel lives as long as the list; every linked
+        // node is live while no remove runs concurrently.
+        let mut cur = unsafe { link(self.head, 0) }.load(Ordering::Acquire) as *const SkipNode;
+        while !cur.is_null() {
+            // SAFETY: a linked node, live as argued above.
+            let node = unsafe { &*cur };
+            if !node.marked.load(Ordering::Acquire) {
+                f(node);
+            }
+            // SAFETY: as above; every tower has a level 0.
+            cur = unsafe { link(cur, 0) }.load(Ordering::Acquire) as *const SkipNode;
+        }
+    }
+
     /// Sequential bottom-level key dump (tests; unmarked nodes only).
     pub fn keys_sequential(&self) -> Vec<u64> {
         let mut keys = Vec::new();
-        let mut cur = self.head.next[0].load(Ordering::Acquire) as *const SkipNode;
-        while !cur.is_null() {
-            let node = unsafe { &*cur };
-            if !node.marked.load(Ordering::Acquire) {
-                keys.push(node.key);
-            }
-            cur = node.next[0].load(Ordering::Acquire) as *const SkipNode;
-        }
+        self.for_each_sequential(|node| keys.push(node.key));
         keys
     }
 
@@ -463,18 +536,26 @@ impl<S: Smr> SkipList<S> {
     pub fn len_sequential(&self) -> usize {
         self.keys_sequential().len()
     }
+
+    /// Sequential census of tower heights (tests): entry `l` counts the
+    /// unmarked nodes whose top level is `l`. The sentinel is not counted.
+    pub fn top_level_counts_sequential(&self) -> [usize; MAX_HEIGHT] {
+        let mut counts = [0usize; MAX_HEIGHT];
+        self.for_each_sequential(|node| counts[node.top_level as usize] += 1);
+        counts
+    }
 }
 
 impl<S: Smr> Drop for SkipList<S> {
     fn drop(&mut self) {
         // Exclusive access: free the bottom-level chain (it contains every
-        // node exactly once); the sentinel frees with the Box.
-        let mut cur = self.head.next[0].load(Ordering::Relaxed);
+        // node exactly once), then the sentinel.
+        let mut cur = self.head.cast::<u8>();
         while !cur.is_null() {
             // SAFETY: &mut self; bottom level links every node once (next
             // read before the node is freed).
             unsafe {
-                let next = (*cur.cast::<SkipNode>()).next[0].load(Ordering::Relaxed);
+                let next = link(cur.cast::<SkipNode>(), 0).load(Ordering::Relaxed);
                 (self.drop_node)(cur);
                 cur = next;
             }
@@ -489,11 +570,91 @@ mod tests {
     use ts_smr::{EpochScheme, HazardPointers, Leaky};
 
     #[test]
-    fn node_layout_is_reasonable() {
-        // Paper: ≤104-byte nodes (variable height). Ours are fixed-height
-        // towers; assert we stay cache-friendly rather than exact.
-        assert!(core::mem::size_of::<SkipNode>() <= 136);
+    fn node_layout_is_header_plus_exact_tower() {
+        // §6: nodes sized to their own height. A 16-byte header, then one
+        // 8-byte link per level and nothing else.
+        assert_eq!(core::mem::size_of::<SkipNode>(), 16);
+        for h in 0..MAX_HEIGHT {
+            assert_eq!(node_bytes(h), 16 + 8 * (h + 1), "height {h}");
+            assert_eq!(node_layout(h).size(), node_bytes(h));
+        }
+        assert_eq!(node_bytes(0), 24);
+        assert_eq!(node_bytes(MAX_HEIGHT - 1), 112);
         assert_eq!(REQUIRED_SLOTS, 26);
+    }
+
+    /// A scheme that records every retire's `(addr, size)` together with
+    /// the node's top level and the address of its top link, then frees
+    /// the node at once.
+    mod recording {
+        use super::*;
+        use std::sync::{Arc, Mutex};
+        use ts_smr::DropFn;
+
+        /// `(addr, size, top_level, top_link_addr)` per retire.
+        pub type Retires = Arc<Mutex<Vec<(usize, usize, usize, usize)>>>;
+
+        #[derive(Default)]
+        pub struct Recording(pub Retires);
+        pub struct RecordingHandle(Retires);
+
+        impl Smr for Recording {
+            type Handle = RecordingHandle;
+            fn register(&self) -> RecordingHandle {
+                RecordingHandle(Arc::clone(&self.0))
+            }
+            fn name(&self) -> &'static str {
+                "recording"
+            }
+        }
+
+        impl SmrHandle for RecordingHandle {
+            unsafe fn retire(&self, addr: usize, size: usize, drop_fn: DropFn) {
+                let node = addr as *const SkipNode;
+                let top = (*node).top_level as usize;
+                let top_link = link(node, top) as *const AtomicPtr<u8> as usize;
+                self.0.lock().unwrap().push((addr, size, top, top_link));
+                drop_fn(addr as *mut u8);
+            }
+        }
+    }
+
+    #[test]
+    fn retire_size_covers_the_whole_tower() {
+        let scheme = recording::Recording::default();
+        let pool = ts_alloc::PoolHandle::new("skiplist-retire-size");
+        for alloc in [NodeAlloc::Global, NodeAlloc::Pool(pool)] {
+            let sl = SkipList::<recording::Recording>::with_alloc(alloc);
+            let h = scheme.register();
+            for k in 0..2_000u64 {
+                assert!(sl.insert(&h, k));
+            }
+            for k in 0..2_000u64 {
+                assert!(sl.remove(&h, k));
+            }
+        }
+        let retires = scheme.0.lock().unwrap();
+        assert_eq!(retires.len(), 4_000);
+        let mut seen = [false; MAX_HEIGHT];
+        for &(addr, size, top, top_link) in retires.iter() {
+            assert_eq!(
+                size,
+                node_bytes(top),
+                "retire must pass the allocation size"
+            );
+            assert!(
+                addr <= top_link && top_link + 8 <= addr + size,
+                "[addr, addr+size) must cover the top link"
+            );
+            assert_eq!(top_link + 8, addr + size, "the top link ends the node");
+            seen[top] = true;
+        }
+        assert!(
+            seen[..8].iter().all(|&s| s),
+            "heights 0..8 exercised: {seen:?}"
+        );
+        let s = pool.stats();
+        assert_eq!((s.allocs, s.frees, s.bytes_resident), (2_001, 2_001, 0));
     }
 
     #[test]

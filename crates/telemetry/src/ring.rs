@@ -170,8 +170,14 @@ pub fn record(ev: PhaseEvent) {
         return;
     };
     let ring = &RINGS[slot];
-    let mask = CAP_MASK.load(Ordering::Relaxed) as u64;
     let seq = ring.head.fetch_add(1, Ordering::Relaxed);
+    publish(ring, seq, ev);
+}
+
+/// Writes `ev` into the cell of the reserved sequence number `seq`.
+#[inline]
+fn publish(ring: &EventRing, seq: u64, ev: PhaseEvent) {
+    let mask = CAP_MASK.load(Ordering::Relaxed) as u64;
     let cell = &ring.cells[(seq & mask) as usize];
     // Invalidate first so a concurrent reader can never pair the old
     // stamp with new payload words.
@@ -203,7 +209,10 @@ pub struct EventRecord {
 /// Drains every ring: returns all readable events (ring-major, sequence
 /// ascending) and advances the read cursors. Events overwritten before
 /// this drain — or torn by an overwrite during it — are counted into
-/// [`dropped_events`] instead of returned.
+/// [`dropped_events`] instead of returned. A ring's drain stops at the
+/// first event that is reserved but not yet published (a writer between
+/// its `head.fetch_add` and its stamp store); that event and everything
+/// after it are left for the next drain.
 pub fn drain_events() -> Vec<EventRecord> {
     let _guard = DRAIN_LOCK.lock().unwrap();
     let cap = ring_capacity() as u64;
@@ -219,10 +228,19 @@ pub fn drain_events() -> Vec<EventRecord> {
         if lo > tail {
             ring.dropped.fetch_add(lo - tail, Ordering::Relaxed);
         }
-        for seq in lo..head {
+        let mut next = lo;
+        while next < head {
+            let seq = next;
             let cell = &ring.cells[(seq % cap) as usize];
-            if cell.stamp.load(Ordering::Acquire) != seq + 1 {
-                // Mid-write or already overwritten by a racing writer.
+            let stamp = cell.stamp.load(Ordering::Acquire);
+            if stamp < seq + 1 {
+                // Reserved, not yet published (0 = mid-write, or an older
+                // stamp the writer has not invalidated yet): stop here.
+                break;
+            }
+            next += 1;
+            if stamp != seq + 1 {
+                // Newer stamp: a racing writer lapped the ring over it.
                 ring.dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
@@ -247,7 +265,7 @@ pub fn drain_events() -> Vec<EventRecord> {
                 }
             }
         }
-        ring.tail.store(head, Ordering::Relaxed);
+        ring.tail.store(next, Ordering::Relaxed);
     }
     out
 }
@@ -354,6 +372,36 @@ mod tests {
             .collect();
         assert_eq!(mine.len(), 2);
         assert_ne!(mine[0].ring, mine[1].ring);
+    }
+
+    /// A drain that overlaps a record — the writer has reserved its
+    /// sequence number but not yet published the stamp — must leave the
+    /// event for the next drain, not count it dropped and skip it.
+    #[test]
+    fn in_flight_record_is_deferred_not_dropped() {
+        let _lock = test_lock();
+        reset_rings_for_test();
+        set_ring_capacity(RING_CAP);
+        init_clock();
+        record(ev(PhaseKind::FreeBegin, 66, 1));
+        let ring = &RINGS[my_slot().unwrap()];
+        let seq = ring.head.fetch_add(1, Ordering::Relaxed);
+        record(ev(PhaseKind::FreeEnd, 66, 3));
+        let first: Vec<u64> = drain_events()
+            .iter()
+            .filter(|e| e.collect_id == 66)
+            .map(|e| e.arg)
+            .collect();
+        assert_eq!(first, [1], "drain stops before the unpublished event");
+        assert_eq!(dropped_events(), 0, "an in-flight record is not a drop");
+        publish(ring, seq, ev(PhaseKind::FreeEnd, 66, 2));
+        let second: Vec<u64> = drain_events()
+            .iter()
+            .filter(|e| e.collect_id == 66)
+            .map(|e| e.arg)
+            .collect();
+        assert_eq!(second, [2, 3], "published event and its successor follow");
+        assert_eq!(dropped_events(), 0);
     }
 
     #[test]

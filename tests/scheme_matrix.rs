@@ -3,9 +3,24 @@
 //! (b) make reclamation progress where applicable, and (c) keep the
 //! structure consistent.
 
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 use ts_workload::{run_combo, SchemeKind, StructureKind, WorkloadParams};
+
+/// Every run spawns worker threads that compete for the same cores, so a
+/// sibling test running at the same time would slow one side of a
+/// throughput comparison. Comparisons hold this alone; the other tests
+/// share it.
+static CORES: RwLock<()> = RwLock::new(());
+
+fn share_cores() -> RwLockReadGuard<'static, ()> {
+    CORES.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn own_cores() -> RwLockWriteGuard<'static, ()> {
+    CORES.write().unwrap_or_else(|e| e.into_inner())
+}
 
 fn quick(structure: StructureKind, threads: usize) -> WorkloadParams {
     WorkloadParams::fig3(structure, threads)
@@ -15,6 +30,7 @@ fn quick(structure: StructureKind, threads: usize) -> WorkloadParams {
 
 #[test]
 fn full_matrix_completes() {
+    let _cores = share_cores();
     for structure in StructureKind::EXTENDED {
         for scheme in SchemeKind::ALL {
             let r = run_combo(scheme, &quick(structure, 2));
@@ -30,6 +46,7 @@ fn full_matrix_completes() {
 
 #[test]
 fn reclaiming_schemes_free_memory() {
+    let _cores = share_cores();
     // With frequent updates and small structures, every reclaiming scheme
     // must show bounded outstanding garbage after quiescing.
     for scheme in [
@@ -53,6 +70,7 @@ fn reclaiming_schemes_free_memory() {
 
 #[test]
 fn leaky_leaks_proportionally_to_updates() {
+    let _cores = share_cores();
     let read_only = run_combo(
         SchemeKind::Leaky,
         &quick(StructureKind::Hash, 2).with_update_pct(0),
@@ -67,6 +85,7 @@ fn leaky_leaks_proportionally_to_updates() {
 
 #[test]
 fn slow_epoch_throughput_collapses_vs_epoch() {
+    let _cores = own_cores();
     // The paper's Slow Epoch point: one delayed thread wrecks the scheme.
     // With a 40ms stall per 4096 ops per the errant thread, epoch should
     // beat slow-epoch clearly on the same workload.
@@ -85,6 +104,7 @@ fn slow_epoch_throughput_collapses_vs_epoch() {
 
 #[test]
 fn oversubscription_smoke() {
+    let _cores = share_cores();
     // 4× more threads than this machine has: everything still completes
     // and ThreadScan still reclaims (Figure 4's regime).
     let hw = std::thread::available_parallelism()
@@ -108,6 +128,7 @@ fn oversubscription_smoke() {
 
 #[test]
 fn tuned_buffer_reduces_collect_frequency() {
+    let _cores = share_cores();
     // §6's tuning argument, checked directly via collector counters.
     let mut small = quick(StructureKind::Hash, 3).with_update_pct(50);
     small.duration = Duration::from_millis(300);

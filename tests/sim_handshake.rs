@@ -4,7 +4,7 @@
 //! model in `ts-simthread` by adding true parallel interleavings.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use threadscan::{Collector, CollectorConfig};
@@ -108,15 +108,20 @@ fn force_scan_keeps_reclaimer_live_despite_stalled_pollers() {
     );
     let drops = Arc::new(AtomicUsize::new(0));
     let stop = Arc::new(AtomicBool::new(false));
+    // The worker starts retiring only once the stalled thread is
+    // registered; otherwise every phase could finish before it exists.
+    let registered = Arc::new(Barrier::new(2));
 
     std::thread::scope(|s| {
         // A stalled registered thread (never polls).
         {
             let platform = platform.clone();
             let stop = Arc::clone(&stop);
+            let registered = Arc::clone(&registered);
             s.spawn(move || {
                 use threadscan::Platform as _;
                 let _token = platform.register_current(Arc::new(threadscan::ThreadRoots::new(4)));
+                registered.wait();
                 while !stop.load(Ordering::Relaxed) {
                     std::hint::spin_loop();
                 }
@@ -127,6 +132,7 @@ fn force_scan_keeps_reclaimer_live_despite_stalled_pollers() {
         let drops2 = Arc::clone(&drops);
         let stop2 = Arc::clone(&stop);
         s.spawn(move || {
+            registered.wait();
             let handle = collector2.register();
             for _ in 0..500 {
                 let node = Box::into_raw(Box::new(Probe {
