@@ -5,6 +5,12 @@
 //! past its watermark (flush) does the thread touch the shared depot —
 //! one lock acquisition per [`BATCH`] operations.
 //!
+//! This is the process's only thread cache: the global hook
+//! ([`crate::TsAlloc`]) and the per-structure node pools
+//! ([`crate::pool`]) both allocate and free their class blocks here, so
+//! a block one of them frees is the next one either of them allocates on
+//! that thread.
+//!
 //! TLS teardown: `std::thread_local` destructors flush every cached block
 //! back to the depot so exiting threads don't strand memory. If the
 //! allocator is called *during* teardown (destructors of other TLS keys
@@ -65,9 +71,12 @@ fn with_cache<R>(f: impl FnOnce(&mut ThreadCache) -> R) -> Option<R> {
         .ok()
 }
 
-/// Allocates one block of `class`.
+/// Allocates one block of `class`. `on_fill` runs once each time the
+/// thread's list for `class` was empty and had to refill from the depot
+/// (node pools credit the refill to their handle; the global hook passes
+/// a no-op).
 #[inline]
-pub fn alloc(class: usize) -> *mut u8 {
+pub fn alloc(class: usize, on_fill: impl FnOnce()) -> *mut u8 {
     COUNTERS.note_small_alloc();
     COUNTERS.note_class_alloc(class);
     with_cache(|cache| {
@@ -78,6 +87,7 @@ pub fn alloc(class: usize) -> *mut u8 {
         }
         central::fill(class, list);
         COUNTERS.note_fill();
+        on_fill();
         list.pop()
     })
     .unwrap_or_else(|| central::alloc_direct(class))
@@ -117,13 +127,13 @@ mod tests {
     fn alloc_free_cycles_stay_local_after_warmup() {
         let class = class_of(64).unwrap();
         // Warm the cache.
-        let warm = alloc(class);
+        let warm = alloc(class, || {});
         unsafe { free(class, warm) };
         // This thread's tally: sibling tests fill their own caches
         // concurrently and move the process-wide counter.
         let fills_before = crate::stats::thread_stats().cache_fills;
         for _ in 0..100 {
-            let p = alloc(class);
+            let p = alloc(class, || {});
             assert!(!p.is_null());
             unsafe {
                 p.write_bytes(0xEE, class_size(class));
@@ -140,7 +150,7 @@ mod tests {
     #[test]
     fn blocks_are_distinct_while_live() {
         let class = class_of(32).unwrap();
-        let mut live: Vec<*mut u8> = (0..200).map(|_| alloc(class)).collect();
+        let mut live: Vec<*mut u8> = (0..200).map(|_| alloc(class, || {})).collect();
         let mut seen = std::collections::HashSet::new();
         for &p in &live {
             assert!(!p.is_null());
@@ -156,7 +166,9 @@ mod tests {
         let class = class_of(96).unwrap();
         // Allocate a pile, then free it all: the cache must flush batches
         // past the watermark rather than hoard indefinitely.
-        let live: Vec<*mut u8> = (0..(FLUSH_WATERMARK * 3)).map(|_| alloc(class)).collect();
+        let live: Vec<*mut u8> = (0..(FLUSH_WATERMARK * 3))
+            .map(|_| alloc(class, || {}))
+            .collect();
         let flushes_before = crate::stats().cache_flushes;
         for p in live {
             unsafe { free(class, p) };
@@ -173,7 +185,7 @@ mod tests {
         let depot_before = central::depot_len(class);
         std::thread::spawn(move || {
             // Populate this thread's cache, then exit while holding blocks.
-            let live: Vec<*mut u8> = (0..8).map(|_| alloc(class)).collect();
+            let live: Vec<*mut u8> = (0..8).map(|_| alloc(class, || {})).collect();
             for p in live {
                 unsafe { free(class, p) };
             }

@@ -33,7 +33,7 @@ fn small_class(layout: Layout) -> Option<usize> {
 unsafe impl GlobalAlloc for TsAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         match small_class(layout) {
-            Some(class) => cache::alloc(class),
+            Some(class) => cache::alloc(class, || {}),
             None => {
                 COUNTERS.note_large_alloc();
                 System.alloc(layout)

@@ -5,37 +5,35 @@
 //! the process through the size classes. A [`PoolHandle`] is the opposite
 //! end of the design space: an explicit, per-data-structure handle whose
 //! `alloc_node::<T>()`/[`dealloc_node`] entry points (and their raw-size
-//! twins `alloc_bytes`/[`dealloc_bytes`]) go straight to the
-//! thread-local magazines and the central depot — no `GlobalAlloc`
-//! dispatch, no layout round-trip, and per-handle accounting (allocs,
-//! frees, magazine refills, bytes resident) that the benchmark harness
-//! reads per structure instead of per process.
+//! twins `alloc_bytes`/[`dealloc_bytes`]) go straight to the thread cache
+//! ([`crate::cache`]) — no `GlobalAlloc` dispatch, no layout round-trip,
+//! and per-handle accounting (allocs, frees, magazine refills, bytes
+//! resident) that the benchmark harness reads per structure instead of
+//! per process.
 //!
-//! Layout: every pooled node is preceded by a 16-byte `Header` recording
-//! its size class and the owning handle's counters. Deferred frees
-//! (SMR `retire` drop functions are plain `unsafe fn(*mut u8)` with no
-//! captured state) recover everything they need from the header, so a
-//! node allocated through any handle can be freed from any thread at any
-//! later time with just its pointer.
+//! Layout: a pooled node is a 16-byte `Header` plus one block from
+//! `cache::alloc(class)`. The header records the block's size class and
+//! the owning handle's counters. Deferred frees (SMR `retire` drop
+//! functions are plain `unsafe fn(*mut u8)` with no captured state)
+//! recover everything they need from the header, so a node allocated
+//! through any handle can be freed from any thread at any later time with
+//! just its pointer.
 //!
-//! Thread-local **magazines** (one intrusive free list per size class,
-//! shared by all handles on that thread — blocks of one class are fungible)
-//! refill from and flush to [`central`] in batches, mirroring the global
-//! hook's thread-cache amortization. During TLS teardown the magazines are
-//! unavailable and the depot's direct path is used instead.
+//! Pools keep no cache of their own: the thread cache is shared with the
+//! global hook, and blocks of one class are fungible between them. A
+//! handle's `magazine_refills` counts the cache refills its own
+//! allocations triggered.
 //!
 //! Handle counters are leaked (`&'static`): a few words per handle ever
 //! created, in exchange for deferred frees never racing a handle drop.
 
-use core::cell::UnsafeCell;
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::Mutex;
 
-use crate::central::{self, FreeList, BATCH};
-use crate::size_classes::{class_of, class_size, CLASS_ALIGN, NUM_CLASSES};
-use crate::stats::COUNTERS;
+use crate::cache;
+use crate::size_classes::{class_of, class_size, CLASS_ALIGN};
 
 /// Bytes of bookkeeping preceding every pooled node. 16 keeps the payload
 /// on the same alignment the size classes guarantee.
@@ -44,10 +42,6 @@ pub const HEADER_BYTES: usize = 16;
 /// Class tag for allocations too large for any size class (served by the
 /// system allocator, but still headered and counted).
 const LARGE_CLASS: u32 = u32::MAX;
-
-/// Flush a magazine past this many blocks (same hysteresis band as the
-/// global hook's thread cache).
-const FLUSH_WATERMARK: usize = BATCH * 2;
 
 /// Bookkeeping stored immediately before each pooled node.
 #[repr(C)]
@@ -87,8 +81,8 @@ pub struct PoolStats {
     pub allocs: usize,
     /// Nodes returned through `dealloc_node` / `dealloc_bytes`.
     pub frees: usize,
-    /// Magazine refills from the central depot (each one lock acquisition)
-    /// attributed to this handle's allocations.
+    /// Thread-cache refills from the central depot (each one lock
+    /// acquisition) attributed to this handle's allocations.
     pub magazine_refills: usize,
     /// Bytes currently resident (allocated minus freed, in block sizes).
     pub bytes_resident: usize,
@@ -228,7 +222,11 @@ impl PoolHandle {
         let total = HEADER_BYTES + size;
         let (block, class, resident) = match class_of(total) {
             Some(class) => {
-                let block = self.alloc_block(class);
+                let block = cache::alloc(class, || {
+                    self.counters
+                        .magazine_refills
+                        .fetch_add(1, Ordering::Relaxed);
+                });
                 (block, class as u32, class_size(class))
             }
             None => {
@@ -257,27 +255,6 @@ impl PoolHandle {
             });
             block.add(HEADER_BYTES)
         }
-    }
-
-    /// One class block from the thread-local magazine, refilling from the
-    /// depot when empty (depot direct path during TLS teardown).
-    fn alloc_block(&self, class: usize) -> *mut u8 {
-        COUNTERS.note_small_alloc();
-        COUNTERS.note_class_alloc(class);
-        with_magazines(|mags| {
-            let list = &mut mags.lists[class];
-            let block = list.pop();
-            if !block.is_null() {
-                return block;
-            }
-            central::fill(class, list);
-            COUNTERS.note_fill();
-            self.counters
-                .magazine_refills
-                .fetch_add(1, Ordering::Relaxed);
-            list.pop()
-        })
-        .unwrap_or_else(|| central::alloc_direct(class))
     }
 }
 
@@ -324,66 +301,9 @@ pub unsafe fn dealloc_bytes(payload: *mut u8) {
         .bytes_resident
         .fetch_sub(class_size(class), Ordering::Relaxed);
     POOL_BYTES_RESIDENT.fetch_sub(class_size(class), Ordering::Relaxed);
-    COUNTERS.note_small_free();
-    COUNTERS.note_class_free(class);
-    let done = with_magazines(|mags| {
-        let list = &mut mags.lists[class];
-        // SAFETY: caller contract — the block is exclusively ours.
-        unsafe { list.push(block) };
-        if list.len() > FLUSH_WATERMARK {
-            central::flush(class, list, BATCH);
-            COUNTERS.note_flush();
-        }
-    });
-    if done.is_none() {
-        // TLS teardown: hand it straight to the depot.
-        central::free_direct(class, block);
-    }
-}
-
-/// Thread-local per-class magazines, shared by every handle on the thread.
-struct Magazines {
-    lists: [FreeList; NUM_CLASSES],
-}
-
-impl Magazines {
-    const fn new() -> Self {
-        Self {
-            lists: [const { FreeList::new() }; NUM_CLASSES],
-        }
-    }
-}
-
-/// Flushes every magazine back to the depot at thread exit.
-struct MagazineGuard(UnsafeCell<Magazines>);
-
-impl Drop for MagazineGuard {
-    fn drop(&mut self) {
-        let mags = self.0.get_mut();
-        for (class, list) in mags.lists.iter_mut().enumerate() {
-            let n = list.len();
-            if n > 0 {
-                central::flush(class, list, n);
-                COUNTERS.note_flush();
-            }
-        }
-    }
-}
-
-thread_local! {
-    static MAGAZINES: MagazineGuard = const { MagazineGuard(UnsafeCell::new(Magazines::new())) };
-}
-
-/// Runs `f` with the thread's magazines, or `None` during TLS teardown.
-#[inline]
-fn with_magazines<R>(f: impl FnOnce(&mut Magazines) -> R) -> Option<R> {
-    MAGAZINES
-        .try_with(|guard| {
-            // SAFETY: strictly thread-local; `f` cannot reenter (nothing
-            // on this path allocates through the magazines).
-            f(unsafe { &mut *guard.0.get() })
-        })
-        .ok()
+    // SAFETY: caller contract — the block came from `cache::alloc(class)`
+    // in `alloc_bytes` and is exclusively ours.
+    cache::free(class, block);
 }
 
 /// Orders the unit tests that move process-wide pool totals (every test
@@ -531,6 +451,28 @@ mod tests {
             .expect("handle must appear in pool_stats");
         assert_eq!(mine.allocs, 1);
         assert_eq!(mine.frees, 1);
+    }
+
+    #[test]
+    fn freed_pool_block_is_the_next_cache_block_of_its_class() {
+        // Pools keep no cache of their own: a block `dealloc_bytes` frees
+        // is on top of the thread cache, so the next `cache::alloc` of
+        // its class on this thread returns it without a depot fill.
+        let _totals = test_totals::moves();
+        let pool = PoolHandle::new("one-cache");
+        let size = 40;
+        let class = class_of(HEADER_BYTES + size).unwrap();
+        let payload = pool.alloc_bytes(size);
+        // SAFETY: `payload` is live, so its header block is too.
+        let block = unsafe { payload.sub(HEADER_BYTES) };
+        let fills_before = crate::stats::thread_stats().cache_fills;
+        // SAFETY: allocated above, freed once.
+        unsafe { dealloc_bytes(payload) };
+        let again = cache::alloc(class, || panic!("must not refill"));
+        assert_eq!(again, block, "the pool's free must feed the thread cache");
+        assert_eq!(crate::stats::thread_stats().cache_fills, fills_before);
+        // SAFETY: allocated from the cache just above, freed once.
+        unsafe { cache::free(class, again) };
     }
 
     #[test]

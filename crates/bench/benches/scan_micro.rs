@@ -79,7 +79,7 @@ fn bench_session_scan(c: &mut Criterion) {
             .collect();
         for mode in [MatchMode::Range, MatchMode::Exact] {
             let config = CollectorConfig::default().with_match_mode(mode);
-            let master = MasterBuffer::new(entries.clone(), &config);
+            let master = MasterBuffer::build(entries.clone(), &config);
             let stack = synthetic_stack(16384, &[0x10_0000]);
             group.bench_with_input(BenchmarkId::new(format!("{mode:?}"), n), &n, |b, _| {
                 b.iter(|| {
@@ -110,7 +110,7 @@ fn bench_sort_cost(c: &mut Criterion) {
         let config = CollectorConfig::default();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let mb = MasterBuffer::new(black_box(entries.clone()), &config);
+                let mb = MasterBuffer::build(black_box(entries.clone()), &config);
                 black_box(mb.len())
             })
         });

@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use ts_alloc::SwitchableAlloc;
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{run_combo, Report, SchemeKind, StructureKind, WorkloadParams};
 
 #[global_allocator]
@@ -36,6 +36,8 @@ fn main() {
         Duration::from_secs_f64(args.get_f64("duration", if quick { 0.25 } else { 1.5 }));
     let scale = args.get_usize("scale", if quick { 64 } else { 1 });
     let threads_list = args.get_usize_list("threads", &[2, 4]);
+    let json = args.get("json");
+    args.finish();
     let schemes = [SchemeKind::Leaky, SchemeKind::Epoch, SchemeKind::ThreadScan];
 
     println!("# Ablation I: allocator substrate ({})", machine_info());
@@ -115,5 +117,5 @@ fn main() {
         println!("#   (all zero: system allocator active; pass --real-alloc)");
     }
 
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

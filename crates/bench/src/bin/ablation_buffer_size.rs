@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{run_combo, Report, SchemeKind, StructureKind, WorkloadParams};
 
 fn main() {
@@ -34,6 +34,8 @@ fn main() {
             vec![256, 512, 1024, 2048, 4096, 8192, 16384]
         },
     );
+    let json = args.get("json");
+    args.finish();
 
     println!(
         "# Ablation A: delete-buffer size sweep ({})",
@@ -69,5 +71,5 @@ fn main() {
         report.push(r);
     }
 
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{run_combo, Report, SchemeKind, StructureKind, WorkloadParams};
 
 fn main() {
@@ -25,6 +25,8 @@ fn main() {
             .unwrap_or(2);
         vec![hw, hw * 2, (hw as f64 * 2.5) as usize]
     });
+    let json = args.get("json");
+    args.finish();
 
     println!("# Ablation C: distributed frees (§7) ({})", machine_info());
     println!("# structure=list duration={duration:?} scale=1/{scale}");
@@ -77,5 +79,5 @@ fn main() {
         report.push(dist);
     }
 
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

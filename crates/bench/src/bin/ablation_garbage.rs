@@ -67,6 +67,7 @@ fn main() {
     let duration = Duration::from_secs_f64(args.get_f64("duration", if quick { 0.5 } else { 3.0 }));
     let samples = args.get_usize("samples", 8);
     let threads = args.get_usize("threads", 4);
+    args.finish();
 
     println!(
         "# Ablation D: outstanding garbage over time ({})",

@@ -39,6 +39,8 @@ fn main() {
     let target_buckets = args.get_usize("target-buckets", if quick { 1 << 12 } else { 1 << 21 });
     let load_factor = args.get_usize("load-factor", 1);
     let timeout_s = args.get_usize("timeout", 120) as u64;
+    let json = args.get("json");
+    args.finish();
 
     println!(
         "# Directory growth: 2^8 -> {target_buckets} buckets ({})",
@@ -140,7 +142,7 @@ fn main() {
     }
     assert!(buckets >= target_buckets);
 
-    if let Some(path) = args.get("json") {
+    if let Some(path) = json {
         std::fs::write(path, checkpoints.join("\n") + "\n").expect("write json");
         println!("# json written to {path}");
     }

@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{run_combo, Report, SchemeKind, StructureKind, WorkloadParams};
 
 fn main() {
@@ -21,6 +21,8 @@ fn main() {
         Duration::from_secs_f64(args.get_f64("duration", if quick { 0.25 } else { 2.0 }));
     let scale = args.get_usize("scale", if quick { 64 } else { 1 });
     let threads_list = args.get_usize_list("threads", &[2, 4]);
+    let json = args.get("json");
+    args.finish();
 
     println!("# Ablation H: range vs exact matching ({})", machine_info());
     println!("# structure=list duration={duration:?} scale=1/{scale} update%=20");
@@ -64,5 +66,5 @@ fn main() {
     }
     println!("# exact matching may retain fewer survivors (no interior-pointer hits)");
 
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

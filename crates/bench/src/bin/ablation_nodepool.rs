@@ -5,7 +5,7 @@
 //!
 //! * **node pool** off/on — off boxes nodes through the global allocator;
 //!   on routes them through a per-structure [`ts_alloc::PoolHandle`]
-//!   (thread-local magazines over the size-class depot);
+//!   (the shared per-thread size-class cache over the depot);
 //! * **collect policy** fixed/adaptive — fixed collects only on full
 //!   local buffers (the paper's trigger); adaptive additionally fires on
 //!   the outstanding-garbage watermark, plus the pools' bytes-resident
@@ -20,7 +20,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{run_combo, Report, SchemeKind, StructureKind, WorkloadParams};
 
 /// Sums of every pool handle's counters at one instant.
@@ -50,6 +50,8 @@ fn main() {
     let threads_list = args.get_usize_list("threads", &[2, 4]);
     // 0 = the collector's auto watermark (buffer capacity x threads / 2).
     let watermark = args.get_usize("watermark", 0);
+    let json = args.get("json");
+    args.finish();
 
     // (node_pool, adaptive, label) — the four knob corners.
     let cells = [
@@ -138,5 +140,5 @@ fn main() {
         );
     }
 
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

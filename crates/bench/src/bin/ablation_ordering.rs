@@ -41,6 +41,8 @@ fn main() {
     let quick = args.get_flag("quick");
     let iters = args.get_usize("iters", if quick { 200_000 } else { 2_000_000 });
     let trials = args.get_usize("trials", if quick { 3 } else { 7 });
+    let json = args.get("json");
+    args.finish();
 
     println!(
         "# Ablation: fast-path memory orderings ({})",
@@ -135,7 +137,7 @@ fn main() {
         println!("{name:>24} {ns:>12.2}");
     }
 
-    if let Some(path) = args.get("json") {
+    if let Some(path) = json {
         let entries: Vec<String> = results
             .iter()
             .map(|(name, ns)| format!("  {{\"bench\": \"{name}\", \"ns_per_op\": {ns:.3}}}"))

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{run_pq_combo, PqParams, Report, SchemeKind};
 
 fn main() {
@@ -25,6 +25,8 @@ fn main() {
         SchemeKind::Epoch,
         SchemeKind::ThreadScan,
     ];
+    let json = args.get("json");
+    args.finish();
 
     println!("# Ablation F: priority-queue stress ({})", machine_info());
     println!("# prefill={prefill} insert/delete-min=50/50 duration={duration:?}");
@@ -49,5 +51,5 @@ fn main() {
     }
     println!("# columns are Mops/s");
 
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{run_combo, Report, SchemeKind, StructureKind, WorkloadParams};
 
 fn main() {
@@ -22,7 +22,8 @@ fn main() {
     let threads = args.get_usize("threads", 4);
     let shard_list = args.get_usize_list("shards", &[1, 2, 4, 8]);
     let buffer = args.get_usize("buffer", if quick { 256 } else { 1024 });
-    let sort_threads = args.get_usize("sort-threads", 0);
+    let json = args.get("json");
+    args.finish();
 
     println!(
         "# Ablation I: master-buffer shard count ({})",
@@ -42,8 +43,7 @@ fn main() {
             .scaled_down(scale)
             .with_duration(duration)
             .with_ts_buffer(buffer)
-            .with_ts_shards(shards)
-            .with_ts_sort_threads(sort_threads);
+            .with_ts_shards(shards);
         let r = run_combo(SchemeKind::ThreadScan, &params);
         let ts = r.threadscan.clone().unwrap_or_default();
         println!(
@@ -63,5 +63,5 @@ fn main() {
     }
     println!("# shards=1 is the paper's single sorted delete buffer");
 
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{run_combo, Report, SchemeKind, StructureKind, WorkloadParams};
 
 fn main() {
@@ -24,6 +24,8 @@ fn main() {
             .unwrap_or(1);
         vec![1, hw.max(2), hw * 2]
     });
+    let json = args.get("json");
+    args.finish();
 
     println!(
         "# Ablation E: StackTrack comparator on the skip list ({})",
@@ -48,5 +50,5 @@ fn main() {
         }
     }
     println!("{}", report.render_series());
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

@@ -22,7 +22,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{run_combo, Report, SchemeKind, StructureKind, WorkloadParams};
 
 fn main() {
@@ -34,6 +34,8 @@ fn main() {
     let scale = args.get_usize("scale", if quick { 64 } else { 1 });
     let threads_list = args.get_usize_list("threads", &[2, 4]);
     let structures = args.get_structures("structure", &[StructureKind::List]);
+    let json = args.get("json");
+    args.finish();
 
     println!("# Ablation K: telemetry overhead ({})", machine_info());
     println!("# scheme=threadscan duration={duration:?} repeats={repeats} scale=1/{scale}");
@@ -94,5 +96,5 @@ fn main() {
         }
     }
 
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

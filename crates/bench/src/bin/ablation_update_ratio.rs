@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{run_combo, Report, SchemeKind, StructureKind, WorkloadParams};
 
 fn main() {
@@ -25,6 +25,8 @@ fn main() {
             * 2,
     );
     let ratios = args.get_usize_list("ratios", &[0, 10, 20, 50, 100]);
+    let json = args.get("json");
+    args.finish();
 
     println!("# Ablation B: update-ratio sweep ({})", machine_info());
     println!("# threads={threads} duration={duration:?} scale=1/{scale}");
@@ -51,5 +53,5 @@ fn main() {
         }
     }
 
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{run_combo, KeyDist, Report, SchemeKind, StructureKind, WorkloadParams};
 
 fn main() {
@@ -28,6 +28,8 @@ fn main() {
     );
     let thetas = [0.0f64, 0.5, 0.9, 0.99]; // 0.0 = uniform
     let schemes = [SchemeKind::Leaky, SchemeKind::Epoch, SchemeKind::ThreadScan];
+    let json = args.get("json");
+    args.finish();
 
     println!("# Ablation G: key-skew sweep ({})", machine_info());
     println!("# threads={threads} duration={duration:?} scale=1/{scale} update%=20");
@@ -65,5 +67,5 @@ fn main() {
     }
     println!("# throughput columns are Mops/s");
 
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

@@ -16,7 +16,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, thread_ladder, CliArgs};
+use ts_bench::cli::{machine_info, thread_ladder, write_json_report, CliArgs};
 use ts_workload::{run_combo, Report, SchemeKind, StructureKind, WorkloadParams};
 
 fn main() {
@@ -28,6 +28,8 @@ fn main() {
     let scale = args.get_usize("scale", if quick { 64 } else { 1 });
     let threads = args.get_usize_list("threads", &if quick { vec![1, 2] } else { thread_ladder() });
     let structures = args.get_structures("structures", &StructureKind::ALL);
+    let json = args.get("json");
+    args.finish();
 
     println!("# Figure 3: throughput vs threads ({})", machine_info());
     println!("# duration={duration:?} repeats={repeats} scale=1/{scale} threads={threads:?}");
@@ -62,5 +64,5 @@ fn main() {
     }
 
     println!("{}", report.render_series());
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

@@ -16,8 +16,7 @@
 //! ```text
 //! cargo run -p ts-bench --release --bin fig4_oversub -- \
 //!     [--duration 2.0] [--repeats 2] [--threads ...] [--scale 1] \
-//!     [--ts-sort-threads N] [--json out] \
-//!     [--telemetry] [--trace-out trace.json]
+//!     [--json out] [--telemetry] [--trace-out trace.json]
 //! ```
 //!
 //! `--trace-out` (which implies `--telemetry`) captures every collect's
@@ -28,7 +27,7 @@
 use std::time::Duration;
 
 use threadscan::Hist;
-use ts_bench::cli::{machine_info, oversub_ladder, CliArgs};
+use ts_bench::cli::{machine_info, oversub_ladder, write_json_report, CliArgs};
 use ts_workload::{run_combo, Report, SchemeKind, StructureKind, WorkloadParams};
 
 fn main() {
@@ -42,13 +41,14 @@ fn main() {
         "threads",
         &if quick { vec![2, 4] } else { oversub_ladder() },
     );
-    let sort_threads = args.get_usize("ts-sort-threads", 0);
     let telemetry = args.telemetry_requested();
+    let json = args.get("json");
+    args.finish();
 
     println!("# Figure 4: oversubscription ({})", machine_info());
     println!(
         "# duration={duration:?} repeats={repeats} scale=1/{scale} threads={threads:?} \
-         ts-sort-threads={sort_threads} (0 = collector default) telemetry={telemetry}"
+         telemetry={telemetry}"
     );
 
     let mut report = Report::new("fig4");
@@ -58,7 +58,6 @@ fn main() {
                 let params = WorkloadParams::fig3(structure, t)
                     .scaled_down(scale)
                     .with_duration(duration)
-                    .with_ts_sort_threads(sort_threads)
                     .with_telemetry(telemetry);
                 run_cell(&mut report, scheme, &params, repeats, None);
 
@@ -79,7 +78,7 @@ fn main() {
 
     println!("{}", report.render_series());
     args.write_trace();
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }
 
 fn run_cell(

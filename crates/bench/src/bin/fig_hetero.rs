@@ -20,7 +20,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, thread_ladder, CliArgs};
+use ts_bench::cli::{machine_info, thread_ladder, write_json_report, CliArgs};
 use ts_workload::{
     run_hetero_combo, Report, SchemeKind, StructureKind, StructureMix, WorkloadParams,
 };
@@ -43,6 +43,8 @@ fn main() {
         .map(|spec| StructureMix::parse(spec).unwrap_or_else(|e| panic!("--mixes: {e}")))
         .collect();
     let schemes = args.get_schemes("schemes", &SchemeKind::EXTENDED);
+    let json = args.get("json");
+    args.finish();
 
     println!(
         "# Heterogeneous mixes: one collector, many structures ({})",
@@ -82,5 +84,5 @@ fn main() {
     }
 
     println!("{}", report.render_series());
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

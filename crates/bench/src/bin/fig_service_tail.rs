@@ -30,7 +30,7 @@
 
 use std::time::Duration;
 
-use ts_bench::cli::{machine_info, CliArgs};
+use ts_bench::cli::{machine_info, write_json_report, CliArgs};
 use ts_workload::{
     run_combo, BacklogPolicy, KeyDist, LoadModel, Report, SchemeKind, StructureKind, WorkloadParams,
 };
@@ -67,6 +67,8 @@ fn main() {
     let burst_ms = args.get("burst-ms").map(|_| args.get_f64("burst-ms", 10.0));
     let duty = args.get_f64("duty", 0.25);
     let telemetry = args.telemetry_requested();
+    let json = args.get("json");
+    args.finish();
 
     println!(
         "# Service tail: open-loop latency vs offered QPS ({})",
@@ -127,5 +129,5 @@ fn main() {
     }
 
     args.write_trace();
-    args.write_json_report(&report);
+    write_json_report(json, &report);
 }

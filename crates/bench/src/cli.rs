@@ -1,14 +1,25 @@
 //! Tiny `--key value` argument parsing shared by the figure binaries
 //! (keeps the workspace free of CLI dependencies), plus the epilogue
 //! and list-parsing helpers every binary used to copy-paste.
+//!
+//! Every getter records the key it was asked for. A binary reads all of
+//! its flags up front and then calls [`CliArgs::finish`], which exits on
+//! any `--key` nothing read and on any positional argument — so a
+//! misspelled or removed flag fails the run instead of silently
+//! measuring the default configuration.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 use ts_workload::{Report, SchemeKind, StructureKind};
 
 /// Parsed `--key value` arguments.
 pub struct CliArgs {
     map: HashMap<String, String>,
+    /// Arguments that are neither a `--key` nor a key's value.
+    positional: Vec<String>,
+    /// Keys some getter has asked for.
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl CliArgs {
@@ -20,6 +31,7 @@ impl CliArgs {
     /// Parses an explicit argument list (tests).
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut map = HashMap::new();
+        let mut positional = Vec::new();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
@@ -28,14 +40,48 @@ impl CliArgs {
                     _ => "true".to_string(),
                 };
                 map.insert(key.to_string(), value);
+            } else {
+                positional.push(arg);
             }
         }
-        Self { map }
+        Self {
+            map,
+            positional,
+            read: RefCell::new(BTreeSet::new()),
+        }
     }
 
     /// String value for `key`.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.map.get(key).map(String::as_str)
+    }
+
+    /// The arguments no getter has asked for so far: every unread
+    /// `--key` (sorted), then every positional argument.
+    fn unread(&self) -> Vec<String> {
+        let read = self.read.borrow();
+        let mut keys: Vec<String> = self
+            .map
+            .keys()
+            .filter(|k| !read.contains(k.as_str()))
+            .map(|k| format!("--{k}"))
+            .collect();
+        keys.sort();
+        keys.extend(self.positional.iter().cloned());
+        keys
+    }
+
+    /// Ends the argument block: exits with status 2 and an
+    /// `unknown flag(s): ...` message if any `--key` was given that no
+    /// getter has read, or if any positional argument was given. Call it
+    /// after the binary's last flag read and before its first cell runs.
+    pub fn finish(&self) {
+        let unread = self.unread();
+        if !unread.is_empty() {
+            eprintln!("unknown flag(s): {}", unread.join(" "));
+            std::process::exit(2);
+        }
     }
 
     /// `usize` value with a default.
@@ -58,9 +104,15 @@ impl CliArgs {
             .unwrap_or(default)
     }
 
-    /// Boolean flag.
+    /// Boolean flag. Panics on a value that is not a boolean, such as a
+    /// positional argument the parser took for the flag's value
+    /// (`--quick stray`), rather than reading it as "off".
     pub fn get_flag(&self, key: &str) -> bool {
-        matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
+        match self.get(key) {
+            None | Some("false" | "0" | "no") => false,
+            Some("true" | "1" | "yes") => true,
+            Some(v) => panic!("--{key} is a flag, got value {v:?}"),
+        }
     }
 
     /// Comma-separated usize list with a default.
@@ -125,27 +177,12 @@ impl CliArgs {
         }
     }
 
-    /// The `--json <path>` epilogue every figure binary shares: writes
-    /// the report's JSON lines if the flag was given. Also notes the
-    /// chrome-trace destination when `--trace-out` is in effect, so a
-    /// report consumer knows a timeline exists for this run.
-    pub fn write_json_report(&self, report: &Report) {
-        if let Some(path) = self.get("json") {
-            report
-                .write_json(std::path::Path::new(path))
-                .expect("write json");
-            println!("# json written to {path}");
-            if let Some(trace) = self.trace_out() {
-                println!("# chrome trace for this run: {trace}");
-            }
-        }
-    }
-
     /// Whether this invocation asked for telemetry: an explicit
     /// `--telemetry` flag, or implicitly via `--trace-out` (a trace
-    /// cannot be produced without the sink installed).
+    /// cannot be produced without the sink installed). Reads both keys.
     pub fn telemetry_requested(&self) -> bool {
-        self.get_flag("telemetry") || self.trace_out().is_some()
+        let flag = self.get_flag("telemetry");
+        self.trace_out().is_some() || flag
     }
 
     /// The `--trace-out <file.json>` destination, if given.
@@ -164,6 +201,18 @@ impl CliArgs {
         let json = ts_telemetry::render_chrome_trace();
         std::fs::write(path, json).expect("write chrome trace");
         println!("# chrome trace written to {path} (load in chrome://tracing or ui.perfetto.dev)");
+    }
+}
+
+/// The `--json <path>` epilogue every figure binary shares: writes the
+/// report's JSON lines to `json` (the binary's hoisted `args.get("json")`)
+/// if the flag was given.
+pub fn write_json_report(json: Option<&str>, report: &Report) {
+    if let Some(path) = json {
+        report
+            .write_json(std::path::Path::new(path))
+            .expect("write json");
+        println!("# json written to {path}");
     }
 }
 
@@ -245,12 +294,56 @@ mod tests {
     }
 
     #[test]
+    fn finish_passes_when_every_argument_was_read() {
+        let a = args(&["--quick", "--threads", "1,2"]);
+        a.get_flag("quick");
+        a.get_usize_list("threads", &[4]);
+        a.get_usize("repeats", 1); // read but absent: fine
+        assert!(a.unread().is_empty());
+    }
+
+    #[test]
+    fn finish_rejects_a_removed_flag() {
+        let a = args(&["--quick", "--ts-sort-threads", "4"]);
+        a.get_flag("quick");
+        assert_eq!(a.unread(), vec!["--ts-sort-threads"]);
+    }
+
+    #[test]
+    fn finish_rejects_a_misspelled_flag() {
+        let a = args(&["--durration", "2.0", "--quick"]);
+        a.get_flag("quick");
+        assert_eq!(a.get_f64("duration", 0.25), 0.25);
+        assert_eq!(a.unread(), vec!["--durration"]);
+    }
+
+    #[test]
+    fn finish_rejects_a_stray_positional() {
+        let a = args(&["--threads", "2", "stray"]);
+        assert_eq!(a.get_usize("threads", 4), 2);
+        assert_eq!(a.unread(), vec!["stray"]);
+    }
+
+    #[test]
+    fn telemetry_request_reads_both_of_its_keys() {
+        let a = args(&["--telemetry", "--trace-out", "t.json"]);
+        assert!(a.telemetry_requested());
+        assert!(a.unread().is_empty());
+    }
+
+    #[test]
     fn ladders_are_sane() {
         let l = thread_ladder();
         assert_eq!(l[0], 1);
         assert!(l.windows(2).all(|w| w[0] < w[1]));
         let o = oversub_ladder();
         assert!(o.iter().all(|&t| t >= 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "is a flag")]
+    fn flag_swallowing_a_positional_panics() {
+        args(&["--quick", "stray"]).get_flag("quick");
     }
 
     #[test]

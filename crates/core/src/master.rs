@@ -7,18 +7,17 @@
 //!
 //! This implementation *shards* the master buffer: entries are partitioned
 //! by address into `CollectorConfig::shards` contiguous address ranges, and
-//! each shard is sorted independently (partition-then-sort-locally, the
-//! standard cure for single-array aggregation bottlenecks). A scan does a
-//! fence lookup (binary search over at most `S - 1` shard-boundary
-//! addresses) followed by a binary search inside one shard, so handler-side
-//! work is O(log S + log(n/S)) and stays async-signal-safe. With
-//! `shards = 1` the construction degenerates to the original single sorted
-//! array, bit for bit.
+//! the reclaimer sorts each shard in turn, on its own thread, before any
+//! other thread is signaled — the paper's one sort, done shard by shard.
+//! A scan does a fence lookup (binary search over at most `S - 1`
+//! shard-boundary addresses) followed by a binary search inside one
+//! shard, so handler-side work is O(log S + log(n/S)) and stays
+//! async-signal-safe. With `shards = 1` the construction degenerates to
+//! the original single sorted array, bit for bit.
 
 use core::sync::atomic::{AtomicU8, Ordering};
 
 use crate::config::{CollectorConfig, MatchMode};
-use crate::pool::SortPool;
 use crate::retired::Retired;
 use crate::session::{ScanSession, ShardView};
 
@@ -26,14 +25,6 @@ use crate::session::{ScanSession, ShardView};
 /// overhead outweighs the smaller per-shard searches, so the builder uses
 /// fewer shards than configured.
 const MIN_SHARD_LEN: usize = 16;
-
-/// Minimum phase size worth engaging the worker pool for: below this,
-/// per-bucket dispatch (boxed closure, queue mutex, channel round-trip —
-/// microseconds) rivals or exceeds the sort work itself (tens of
-/// nanoseconds per entry), and the pooled path would *inflate* the very
-/// collect latency it exists to cut. The collector sorts smaller phases
-/// inline regardless of `sort_threads`.
-pub(crate) const MIN_PARALLEL_SORT_LEN: usize = 4096;
 
 /// One address-contiguous shard: entries sorted ascending by address, with
 /// the search-key / end / mark arrays kept separate for cache-dense binary
@@ -81,15 +72,8 @@ pub struct MasterBuffer {
     offsets: Vec<usize>,
     mode: MatchMode,
     low_bit_mask: usize,
-    /// Wall time spent partitioning and sorting, in nanoseconds. With a
-    /// [`SortPool`] this is the *critical path* — the span from the first
-    /// bucket dispatched to the last shard received.
+    /// Wall time spent partitioning and sorting, in nanoseconds.
     sort_ns: usize,
-    /// Total CPU time spent inside per-shard sort-and-build work, summed
-    /// over all sorting threads, in nanoseconds. Equals roughly `sort_ns`
-    /// for a sequential build; the gap between `sort_cpu_ns` and
-    /// `sort_ns` is what parallel sorting bought.
-    sort_cpu_ns: usize,
 }
 
 /// Whether an (already non-decreasing) key sequence has no duplicates,
@@ -117,10 +101,8 @@ fn select_pivots(entries: &[Retired], shards: usize) -> Vec<usize> {
 
 /// Number of shards [`MasterBuffer::build`] will target for a phase of
 /// `len` entries: the configured count, but never so many that shards
-/// drop below [`MIN_SHARD_LEN`] entries. The collector consults this
-/// before a phase to decide whether a [`SortPool`] is worth creating —
-/// a single-bucket phase cannot use one.
-pub(crate) fn shard_target(len: usize, config: &CollectorConfig) -> usize {
+/// drop below [`MIN_SHARD_LEN`] entries.
+fn shard_target(len: usize, config: &CollectorConfig) -> usize {
     config.shards.max(1).min((len / MIN_SHARD_LEN).max(1))
 }
 
@@ -129,42 +111,23 @@ pub(crate) fn elapsed_ns(start: std::time::Instant) -> usize {
     start.elapsed().as_nanos().min(usize::MAX as u128) as usize
 }
 
-/// Sorts one address-range bucket and builds its shard, returning the
-/// shard plus the CPU nanoseconds the work took. The unit both the
-/// sequential loop and the pooled tasks execute — parallelism changes
-/// scheduling, never the per-bucket computation.
-fn sort_bucket(mut bucket: Vec<Retired>, key_mask: usize) -> (Shard, usize) {
-    let start = std::time::Instant::now();
-    // Each bucket covers a disjoint address range, so the locally sorted
-    // shards concatenate globally sorted.
+/// Sorts one address-range bucket and builds its shard. Each bucket
+/// covers a disjoint address range, so the locally sorted shards
+/// concatenate globally sorted.
+fn sort_bucket(mut bucket: Vec<Retired>, key_mask: usize) -> Shard {
     bucket.sort_unstable_by_key(Retired::addr);
-    let shard = Shard::from_sorted(bucket, key_mask);
-    let ns = elapsed_ns(start);
-    (shard, ns)
+    Shard::from_sorted(bucket, key_mask)
 }
 
 impl MasterBuffer {
     /// Partitions `entries` by address into shards and sorts each shard
-    /// sequentially, on the calling thread. Equivalent to
-    /// [`Self::build`] with no pool.
+    /// on the calling thread (the reclaimer). Touches nothing outside the
+    /// calling thread, so a forced collect is safe to run from any
+    /// context.
     ///
     /// Duplicate addresses indicate a double `retire` in application code;
     /// this is rejected in debug builds.
-    pub fn new(entries: Vec<Retired>, config: &CollectorConfig) -> Self {
-        Self::build(entries, config, None)
-    }
-
-    /// Partitions `entries` by address into shards and sorts each shard,
-    /// spreading the per-shard sorts over `pool`'s workers when one is
-    /// given.
-    ///
-    /// The pooled build is deterministic: buckets are reassembled in
-    /// address order regardless of which worker finished first, so the
-    /// result is bit-for-bit the sequential build's. With `pool` `None`
-    /// (or a single bucket) nothing outside the calling thread is
-    /// touched — that is the path a `sort_threads = 1` collector always
-    /// takes, keeping forced collects safe to run from any context.
-    pub fn build(entries: Vec<Retired>, config: &CollectorConfig, pool: Option<&SortPool>) -> Self {
+    pub fn build(entries: Vec<Retired>, config: &CollectorConfig) -> Self {
         let start = std::time::Instant::now();
         // In Exact mode both the buffer keys and the probe words are
         // masked, so a node retired at a tagged/unaligned address still
@@ -185,46 +148,19 @@ impl MasterBuffer {
         };
         let shard_target = shard_target(entries.len(), config);
 
-        let (shards, sort_cpu_ns): (Vec<Shard>, usize) = if shard_target <= 1 {
-            let (shard, ns) = sort_bucket(entries, key_mask);
-            (vec![shard], ns)
+        let shards: Vec<Shard> = if shard_target <= 1 {
+            vec![sort_bucket(entries, key_mask)]
         } else {
             let pivots = select_pivots(&entries, shard_target);
             let mut buckets: Vec<Vec<Retired>> = (0..shard_target).map(|_| Vec::new()).collect();
             for e in entries {
                 buckets[pivots.partition_point(|&p| p <= e.addr())].push(e);
             }
-            buckets.retain(|b| !b.is_empty());
-            match pool {
-                // One occupied bucket sorts as fast inline as on a worker.
-                Some(pool) if buckets.len() > 1 => {
-                    let tasks: Vec<Box<dyn FnOnce() -> (Shard, usize) + Send>> = buckets
-                        .into_iter()
-                        .map(|bucket| {
-                            Box::new(move || sort_bucket(bucket, key_mask))
-                                as Box<dyn FnOnce() -> (Shard, usize) + Send>
-                        })
-                        .collect();
-                    // `run` preserves task order, and the buckets were
-                    // produced in address order: the concatenation is
-                    // globally sorted exactly as in the sequential branch.
-                    let results = pool.run(tasks);
-                    let cpu = results.iter().map(|(_, ns)| ns).sum();
-                    (results.into_iter().map(|(s, _)| s).collect(), cpu)
-                }
-                _ => {
-                    let mut cpu = 0usize;
-                    let shards = buckets
-                        .into_iter()
-                        .map(|bucket| {
-                            let (shard, ns) = sort_bucket(bucket, key_mask);
-                            cpu += ns;
-                            shard
-                        })
-                        .collect();
-                    (shards, cpu)
-                }
-            }
+            buckets
+                .into_iter()
+                .filter(|b| !b.is_empty())
+                .map(|b| sort_bucket(b, key_mask))
+                .collect()
         };
 
         debug_assert!(
@@ -265,7 +201,6 @@ impl MasterBuffer {
             mode: config.match_mode,
             low_bit_mask: config.low_bit_mask,
             sort_ns,
-            sort_cpu_ns,
         }
     }
 
@@ -289,16 +224,9 @@ impl MasterBuffer {
         self.shards.iter().map(|s| s.entries.len()).collect()
     }
 
-    /// Nanoseconds spent partitioning and sorting in [`Self::build`] —
-    /// the reclaimer-observed critical path when a pool was used.
+    /// Nanoseconds spent partitioning and sorting in [`Self::build`].
     pub fn sort_ns(&self) -> usize {
         self.sort_ns
-    }
-
-    /// Total CPU nanoseconds spent in per-shard sort-and-build work,
-    /// summed across all threads that participated.
-    pub fn sort_cpu_ns(&self) -> usize {
-        self.sort_cpu_ns
     }
 
     /// Creates the signal-handler-facing view of this buffer.
@@ -378,7 +306,7 @@ mod tests {
 
     #[test]
     fn new_sorts_by_address() {
-        let mb = MasterBuffer::new(vec![rec(0x300, 8), rec(0x100, 8), rec(0x200, 8)], &cfg());
+        let mb = MasterBuffer::build(vec![rec(0x300, 8), rec(0x100, 8), rec(0x200, 8)], &cfg());
         let addrs: Vec<usize> = mb.entries().iter().map(|e| e.addr()).collect();
         assert_eq!(addrs, vec![0x100, 0x200, 0x300]);
     }
@@ -386,7 +314,7 @@ mod tests {
     #[test]
     fn sharded_concatenation_is_globally_sorted() {
         let entries: Vec<Retired> = (0..256).rev().map(|i| rec(0x1000 + i * 64, 32)).collect();
-        let mb = MasterBuffer::new(entries, &cfg_sharded(4));
+        let mb = MasterBuffer::build(entries, &cfg_sharded(4));
         assert!(mb.shard_count() > 1, "256 entries must actually shard");
         assert_eq!(mb.shard_sizes().iter().sum::<usize>(), 256);
         let addrs: Vec<usize> = mb.entries().iter().map(|e| e.addr()).collect();
@@ -395,13 +323,13 @@ mod tests {
 
     #[test]
     fn tiny_phases_collapse_to_one_shard() {
-        let mb = MasterBuffer::new(vec![rec(0x100, 8), rec(0x200, 8)], &cfg_sharded(8));
+        let mb = MasterBuffer::build(vec![rec(0x100, 8), rec(0x200, 8)], &cfg_sharded(8));
         assert_eq!(mb.shard_count(), 1);
     }
 
     #[test]
     fn unmarked_entries_are_reclaimable() {
-        let mb = MasterBuffer::new(vec![rec(0x100, 8), rec(0x200, 8), rec(0x300, 8)], &cfg());
+        let mb = MasterBuffer::build(vec![rec(0x100, 8), rec(0x200, 8), rec(0x300, 8)], &cfg());
         mb.mark(1);
         let (reclaimable, survivors) = mb.partition();
         let free: Vec<usize> = reclaimable.iter().map(Retired::addr).collect();
@@ -413,7 +341,7 @@ mod tests {
     #[test]
     fn global_mark_indices_cross_shard_boundaries() {
         let entries: Vec<Retired> = (0..128).map(|i| rec(0x1000 + i * 64, 32)).collect();
-        let mb = MasterBuffer::new(entries, &cfg_sharded(4));
+        let mb = MasterBuffer::build(entries, &cfg_sharded(4));
         assert!(mb.shard_count() > 1);
         for i in (0..128).step_by(3) {
             mb.mark(i);
@@ -425,7 +353,7 @@ mod tests {
 
     #[test]
     fn session_scan_marks_via_range_match() {
-        let mb = MasterBuffer::new(vec![rec(0x1000, 64), rec(0x2000, 64)], &cfg());
+        let mb = MasterBuffer::build(vec![rec(0x1000, 64), rec(0x2000, 64)], &cfg());
         let session = mb.session();
         // Interior pointer into the first node; nothing touching the second.
         session.scan_word(0x1020);
@@ -438,7 +366,7 @@ mod tests {
     #[test]
     fn session_scan_exact_mode_ignores_interior() {
         let config = CollectorConfig::default().with_match_mode(MatchMode::Exact);
-        let mb = MasterBuffer::new(vec![rec(0x1000, 64)], &config);
+        let mb = MasterBuffer::build(vec![rec(0x1000, 64)], &config);
         let session = mb.session();
         session.scan_word(0x1020); // interior: not a match in exact mode
         session.scan_word(0x1001); // tagged base pointer: match
@@ -452,7 +380,7 @@ mod tests {
         // address carrying tag bits used to be unmatchable, because only
         // the probe word was masked. Both sides are masked now.
         let config = CollectorConfig::default().with_match_mode(MatchMode::Exact);
-        let mb = MasterBuffer::new(vec![rec(0x1001, 64)], &config);
+        let mb = MasterBuffer::build(vec![rec(0x1001, 64)], &config);
         let session = mb.session();
         assert!(session.scan_word(0x1003), "masked keys must meet");
         drop(session);
@@ -465,7 +393,7 @@ mod tests {
     fn non_contiguous_mask_rejected_in_debug() {
         let mut config = CollectorConfig::default().with_match_mode(MatchMode::Exact);
         config.low_bit_mask = 0b100; // would reorder masked keys
-        let _ = MasterBuffer::new(vec![rec(0x1003, 2)], &config);
+        let _ = MasterBuffer::build(vec![rec(0x1003, 2)], &config);
     }
 
     #[cfg(debug_assertions)]
@@ -474,31 +402,12 @@ mod tests {
     fn exact_mode_masked_alias_rejected_in_debug() {
         let config = CollectorConfig::default().with_match_mode(MatchMode::Exact);
         // 0x1001 and 0x1004 share masked key 0x1000 under the 0b111 mask.
-        let _ = MasterBuffer::new(vec![rec(0x1001, 2), rec(0x1004, 2)], &config);
-    }
-
-    #[test]
-    fn pooled_build_is_bit_for_bit_the_sequential_build() {
-        use crate::pool::SortPool;
-        let pool = SortPool::new(3);
-        // Scrambled addresses across a wide range so multiple buckets form.
-        let nodes: Vec<usize> = (0..512).map(|i| 0x4000 + (i * 7919 % 512) * 64).collect();
-        let mk = |addrs: &[usize]| -> Vec<Retired> { addrs.iter().map(|&a| rec(a, 32)).collect() };
-        let config = cfg_sharded(8);
-        let seq = MasterBuffer::new(mk(&nodes), &config);
-        let par = MasterBuffer::build(mk(&nodes), &config, Some(&pool));
-        assert!(seq.shard_count() > 1, "must exercise multiple buckets");
-        assert_eq!(seq.shard_sizes(), par.shard_sizes());
-        let addrs =
-            |mb: &MasterBuffer| -> Vec<usize> { mb.entries().iter().map(|e| e.addr()).collect() };
-        assert_eq!(addrs(&seq), addrs(&par));
-        assert!(par.sort_cpu_ns() > 0, "per-shard work must be accounted");
-        assert!(seq.sort_cpu_ns() > 0);
+        let _ = MasterBuffer::build(vec![rec(0x1001, 2), rec(0x1004, 2)], &config);
     }
 
     #[test]
     fn empty_master_buffer_partitions_to_nothing() {
-        let mb = MasterBuffer::new(Vec::new(), &cfg());
+        let mb = MasterBuffer::build(Vec::new(), &cfg());
         assert!(mb.is_empty());
         let (reclaimable, survivors) = mb.partition();
         assert!(reclaimable.is_empty());
@@ -518,7 +427,7 @@ mod tests {
             let entries: Vec<Retired> =
                 addrs.iter().map(|&a| rec(a * 8, 8)).collect();
             let n = entries.len();
-            let mb = MasterBuffer::new(entries, &cfg_sharded(shards));
+            let mb = MasterBuffer::build(entries, &cfg_sharded(shards));
             let mut expect_keep = Vec::new();
             let mut expect_free = Vec::new();
             for (i, &bit) in mark_bits.iter().enumerate().take(n) {

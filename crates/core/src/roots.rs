@@ -117,7 +117,7 @@ mod tests {
     use crate::retired::{noop_drop, Retired};
 
     fn master_with(addr: usize, size: usize) -> MasterBuffer {
-        MasterBuffer::new(
+        MasterBuffer::build(
             vec![unsafe { Retired::from_raw_parts(addr, size, noop_drop) }],
             &CollectorConfig::default(),
         )

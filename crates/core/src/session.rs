@@ -221,7 +221,7 @@ mod tests {
             .iter()
             .map(|&(a, s)| unsafe { Retired::from_raw_parts(a, s, noop_drop) })
             .collect();
-        MasterBuffer::new(entries, &CollectorConfig::default().with_shards(shards))
+        MasterBuffer::build(entries, &CollectorConfig::default().with_shards(shards))
     }
 
     #[test]

@@ -44,17 +44,10 @@ pub struct CollectorStats {
     pub collect_ns_max: AtomicUsize,
     /// Nanoseconds spent partitioning and sorting the sharded master
     /// buffer, summed over phases — the component of reclaimer latency
-    /// the sharded layout attacks directly. Measures the reclaimer's
-    /// *critical path*: with parallel shard sorts this is the span from
-    /// dispatch to the last shard's completion, not the work done.
+    /// the sharded layout attacks directly.
     pub sort_ns_total: AtomicUsize,
-    /// Longest single partition-and-sort, in nanoseconds (critical path).
+    /// Longest single partition-and-sort, in nanoseconds.
     pub sort_ns_max: AtomicUsize,
-    /// CPU nanoseconds spent inside per-shard sort-and-build work, summed
-    /// over phases *and* over every thread that sorted. Compare with
-    /// [`Self::sort_ns_total`]: the ratio is the sort's effective
-    /// parallel speedup.
-    pub sort_cpu_ns_total: AtomicUsize,
     /// Largest single master-buffer shard seen in any phase (entries).
     pub max_shard_len: AtomicUsize,
     /// Log2-bucketed histogram of per-phase collect latency:
@@ -92,7 +85,6 @@ pub struct StatsSnapshot {
     pub collect_ns_max: usize,
     pub sort_ns_total: usize,
     pub sort_ns_max: usize,
-    pub sort_cpu_ns_total: usize,
     pub max_shard_len: usize,
     pub collect_ns_hist: [usize; HIST_BUCKETS],
 }
@@ -115,7 +107,6 @@ impl CollectorStats {
             collect_ns_max: self.collect_ns_max.load(Ordering::Relaxed),
             sort_ns_total: self.sort_ns_total.load(Ordering::Relaxed),
             sort_ns_max: self.sort_ns_max.load(Ordering::Relaxed),
-            sort_cpu_ns_total: self.sort_cpu_ns_total.load(Ordering::Relaxed),
             max_shard_len: self.max_shard_len.load(Ordering::Relaxed),
             collect_ns_hist: core::array::from_fn(|i| {
                 self.collect_ns_hist[i].load(Ordering::Relaxed)
@@ -199,23 +190,11 @@ impl StatsSnapshot {
 
     /// Mean per-phase partition-and-sort time in microseconds — the share
     /// of [`Self::mean_collect_us`] the sharded master buffer targets.
-    /// Critical-path time: see [`CollectorStats::sort_ns_total`].
     pub fn mean_sort_us(&self) -> f64 {
         if self.collects == 0 {
             0.0
         } else {
             self.sort_ns_total as f64 / self.collects as f64 / 1e3
-        }
-    }
-
-    /// Mean per-phase sort *CPU* time in microseconds, summed across
-    /// sorting threads. `mean_sort_cpu_us / mean_sort_us` is the
-    /// effective speedup the parallel shard sorts achieved.
-    pub fn mean_sort_cpu_us(&self) -> f64 {
-        if self.collects == 0 {
-            0.0
-        } else {
-            self.sort_cpu_ns_total as f64 / self.collects as f64 / 1e3
         }
     }
 
@@ -301,17 +280,6 @@ mod tests {
         stats.add(&stats.sort_ns_total, 6_000);
         assert_eq!(stats.snapshot().mean_sort_us(), 3.0);
         assert_eq!(StatsSnapshot::default().mean_sort_us(), 0.0);
-    }
-
-    #[test]
-    fn sort_cpu_mean_amortizes_like_sort_mean() {
-        let stats = CollectorStats::default();
-        stats.add(&stats.collects, 2);
-        stats.add(&stats.sort_ns_total, 4_000);
-        stats.add(&stats.sort_cpu_ns_total, 12_000);
-        let snap = stats.snapshot();
-        assert_eq!(snap.mean_sort_us(), 2.0);
-        assert_eq!(snap.mean_sort_cpu_us(), 6.0);
     }
 
     #[test]

@@ -102,7 +102,7 @@ proptest! {
             .iter()
             .map(|&(a, s)| unsafe { Retired::from_raw_parts(a, s, noop_drop) })
             .collect();
-        let master = MasterBuffer::new(entries, &config);
+        let master = MasterBuffer::build(entries, &config);
         let session = master.session();
         session.scan_words(&all_words);
         drop(session);

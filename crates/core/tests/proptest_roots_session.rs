@@ -12,7 +12,7 @@ use threadscan::{Collector, CollectorConfig, HeapBlockError, NullPlatform, Threa
 fn one_node_master(addr: usize, size: usize, config: &CollectorConfig) -> MasterBuffer {
     // SAFETY: noop_drop never dereferences; the address is synthetic.
     let entries = vec![unsafe { Retired::from_raw_parts(addr, size, noop_drop) }];
-    MasterBuffer::new(entries, config)
+    MasterBuffer::build(entries, config)
 }
 
 #[derive(Debug, Clone)]

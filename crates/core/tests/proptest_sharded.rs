@@ -46,7 +46,7 @@ fn run_phase(
     let config = CollectorConfig::default()
         .with_shards(shards)
         .with_match_mode(mode);
-    let master = MasterBuffer::new(entries_of(nodes), &config);
+    let master = MasterBuffer::build(entries_of(nodes), &config);
     let session = master.session();
     let mut hits = 0usize;
     for &w in words {
@@ -128,8 +128,8 @@ proptest! {
         let nodes = build_nodes(&gaps);
         let config_1 = CollectorConfig::default().with_shards(1);
         let config_s = CollectorConfig::default().with_shards(shards);
-        let mb_1 = MasterBuffer::new(entries_of(&nodes), &config_1);
-        let mb_s = MasterBuffer::new(entries_of(&nodes), &config_s);
+        let mb_1 = MasterBuffer::build(entries_of(&nodes), &config_1);
+        let mb_s = MasterBuffer::build(entries_of(&nodes), &config_s);
         prop_assert_eq!(mb_1.len(), mb_s.len());
         for (i, &bit) in mark_bits.iter().enumerate().take(nodes.len()) {
             if bit {

@@ -90,7 +90,7 @@ mod tests {
     use threadscan::{CollectorConfig, Retired};
 
     fn master(addr: usize, size: usize) -> MasterBuffer {
-        MasterBuffer::new(
+        MasterBuffer::build(
             vec![unsafe { Retired::from_raw_parts(addr, size, threadscan::retired::noop_drop) }],
             &CollectorConfig::default(),
         )

@@ -5,7 +5,7 @@
 //! [`NodeAlloc`] captured at construction. The default, [`NodeAlloc::Global`],
 //! is exactly the historical `Box::into_raw(Box::new(..))` path — zero
 //! cost, no behavior change. [`NodeAlloc::Pool`] routes nodes through a
-//! size-class pool handle instead: thread-local magazines, batched depot
+//! size-class pool handle instead: the per-thread size-class cache, batched depot
 //! refills, and per-structure alloc/free/bytes-resident counters, which
 //! is both the fast path (`malloc`/`free` never contend in the common
 //! case, and freed nodes recycle LIFO-warm) and the pressure signal the

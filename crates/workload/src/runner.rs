@@ -45,12 +45,8 @@ pub struct ThreadScanExtras {
     pub mean_collect_us: f64,
     /// Worst-case reclaimer-side collect latency (µs).
     pub max_collect_us: f64,
-    /// Mean per-phase master-buffer partition-and-sort time (µs),
-    /// critical path — what the reclaimer actually waited.
+    /// Mean per-phase master-buffer partition-and-sort time (µs).
     pub mean_sort_us: f64,
-    /// Mean per-phase sort CPU time (µs), summed over sorting threads;
-    /// divided by `mean_sort_us` this is the parallel sort's speedup.
-    pub mean_sort_cpu_us: f64,
     /// Reclaimer collect-latency percentiles (µs), from the collector's
     /// log2 latency histogram: median, tail, extreme tail.
     pub collect_us_p50: f64,
@@ -249,7 +245,6 @@ impl ThreadScanExtras {
             .num("mean_collect_us", self.mean_collect_us)
             .num("max_collect_us", self.max_collect_us)
             .num("mean_sort_us", self.mean_sort_us)
-            .num("mean_sort_cpu_us", self.mean_sort_cpu_us)
             .num("collect_us_p50", self.collect_us_p50)
             .num("collect_us_p95", self.collect_us_p95)
             .num("collect_us_p99", self.collect_us_p99)
@@ -438,7 +433,6 @@ pub(crate) fn threadscan_extras(scheme: &dyn DynSmr) -> Option<ThreadScanExtras>
         mean_collect_us: st.mean_collect_us(),
         max_collect_us: st.max_collect_us(),
         mean_sort_us: st.mean_sort_us(),
-        mean_sort_cpu_us: st.mean_sort_cpu_us(),
         collect_us_p50: st.collect_us_percentile(0.50),
         collect_us_p95: st.collect_us_percentile(0.95),
         collect_us_p99: st.collect_us_percentile(0.99),
